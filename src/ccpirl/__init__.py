@@ -28,6 +28,7 @@ from .envs import (
 from .errors import (
     CcpIrlError,
     EmptyData,
+    InvalidInput,
     MaxSweepsExceeded,
     NonFiniteGradient,
     NonPositiveProbability,
@@ -59,6 +60,7 @@ from .model import (
     SoftPolicy,
     Trajectory,
     TransitionModel,
+    check_trajectories,
     expected_next_value,
     load_model,
     load_trajectories,

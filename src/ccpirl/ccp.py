@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyData, NonPositiveProbability
-from .model import CCPTable
+from .model import CCPTable, check_trajectories
 from .softdp import EULER_GAMMA
 
 
@@ -32,8 +32,10 @@ def count_pairs(trajectories, n_states, n_actions):
     """Integer (|X|, |A|) table of observed state-action occurrences.
 
     Counting is a commutative merge, so trajectory shards can be counted
-    independently and summed.
+    independently and summed. Raises InvalidInput for an index outside the
+    table.
     """
+    check_trajectories(trajectories, n_states, n_actions)
     counts = np.zeros((n_states, n_actions), dtype=np.int64)
     for traj in trajectories:
         np.add.at(counts, (traj.states, traj.actions), 1)

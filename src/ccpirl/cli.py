@@ -5,7 +5,8 @@ run is driven by a config (JSON file and/or flags; flags win), requires an
 explicit seed, and re-serializes its effective config next to its outputs
 so any result can be reproduced exactly.
 
-Exit codes: 0 success, 2 invalid input or config, 3 numerical failure.
+Exit codes: 0 success, 2 invalid input or config (including a model or
+trajectory file that fails validation), 3 numerical failure.
 """
 
 import argparse
@@ -20,11 +21,11 @@ import numpy as np
 from . import envs
 from .ccp import SmoothingConfig, estimate_ccp, save_ccp
 from .engine import load_checkpoint, save_checkpoint, train_ccp, train_maxent
-from .errors import CcpIrlError
+from .errors import CcpIrlError, InvalidInput
 from .metrics import BenchCell, BenchSuiteConfig, EvalResult, evd, nll, \
     run_benchmark
-from .model import load_model, load_trajectories, save_model, \
-    save_trajectories
+from .model import check_trajectories, load_model, load_trajectories, \
+    save_model, save_trajectories, validate_model
 from .rewards import Adam, GradientAscent, LinearReward, MlpReward
 
 EXIT_CONFIG = 2
@@ -112,6 +113,9 @@ def cmd_gen_env(args):
             raise CliError(f"unknown environment {args.env!r}")
     except ValueError as exc:
         raise CliError(f"invalid environment spec: {exc}")
+    problems = validate_model(model)
+    if problems:
+        raise CliError("invalid environment: " + "; ".join(problems))
     save_model(os.path.join(args.out, "model.json"), model)
     envs.save_true_reward(os.path.join(args.out, "true_reward.json"), true_reward)
     np.savetxt(os.path.join(args.out, "features.csv"),
@@ -145,7 +149,7 @@ def cmd_gen_experts(args):
 def cmd_estimate_ccp(args):
     _require(args, "env_dir", "trajectories", "out")
     model, _ = _load_env_dir(args.env_dir)
-    trajectories = _load_trajs(args.trajectories)
+    trajectories = _load_trajs(args.trajectories, model)
     smoothing = SmoothingConfig(mode=args.smoothing, alpha=args.alpha)
     table = estimate_ccp(trajectories, model.n_states, model.n_actions,
                          smoothing)
@@ -153,17 +157,20 @@ def cmd_estimate_ccp(args):
     print(f"wrote CCP table to {args.out}")
 
 
-def _load_trajs(path):
+def _load_trajs(path, model):
+    """Read a trajectory file and check its indices against the model."""
     if not os.path.exists(path):
         raise CliError(f"missing trajectory file {path}")
-    return load_trajectories(path)
+    trajectories = load_trajectories(path)
+    check_trajectories(trajectories, model.n_states, model.n_actions)
+    return trajectories
 
 
 def cmd_train(args):
     _require(args, "env_dir", "trajectories", "algo", "out")
     seed = _resolve_seed(args)
     model, _ = _load_env_dir(args.env_dir)
-    trajectories = _load_trajs(args.trajectories)
+    trajectories = _load_trajs(args.trajectories, model)
     os.makedirs(args.out, exist_ok=True)
 
     start_iteration = 0
@@ -217,7 +224,7 @@ def _write_reward_grid(path, state_rewards):
 def cmd_eval(args):
     _require(args, "env_dir", "checkpoint", "trajectories", "out")
     model, true_reward = _load_env_dir(args.env_dir)
-    trajectories = _load_trajs(args.trajectories)
+    trajectories = _load_trajs(args.trajectories, model)
     if not os.path.exists(args.checkpoint):
         raise CliError(f"missing checkpoint {args.checkpoint}")
     reward, _, _, _ = load_checkpoint(args.checkpoint)
@@ -431,6 +438,9 @@ def main(argv=None):
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except InvalidInput as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except CcpIrlError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -16,7 +16,7 @@ import numpy as np
 from .ccp import SmoothingConfig, estimate_ccp
 from .errors import EmptyData, NonFiniteGradient
 from .hotzmiller import build_operator, exante_value
-from .model import SoftPolicy
+from .model import SoftPolicy, check_trajectories
 from .rewards import Adam, GradientAscent, LinearReward, MlpReward, \
     broadcast_rewards, mlp_backward
 from .softdp import SoftDpConfig, choice_values, policy_from_values, solve_soft_vi
@@ -36,23 +36,19 @@ def forward_pass(model, policy, horizon):
 
     D^(0) is the initial distribution. Before each propagation step the mass
     sitting on goal states is zeroed (arrivals still count in the layer they
-    happen), then D^(i)(y) = sum_{x,a} T(y|x,a) pi(a|x) D^(i-1)(x).
+    happen), then D^(i)(y) = sum_{x,a} T(y|x,a) pi(a|x) D^(i-1)(x). The
+    one-step operator is the transpose of the policy-weighted transition
+    matrix with goal rows dropped, built once per call.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     probs = policy.probs if isinstance(policy, SoftPolicy) else np.asarray(policy)
-    mats = model.transitions.per_action
-    goals = sorted(model.goal_states)
+    weights = np.array(probs, dtype=float)
+    weights[sorted(model.goal_states)] = 0.0
+    step = model.transitions.weighted(weights).T
     layers = [model.initial_dist.copy()]
     for _ in range(horizon):
-        d = layers[-1].copy()
-        if goals:
-            d[goals] = 0.0
-        weighted = probs * d[:, None]  # (X, A)
-        nxt = np.zeros(model.n_states)
-        for a, mat in enumerate(mats):
-            nxt += mat.T @ weighted[:, a]
-        layers.append(nxt)
+        layers.append(step @ layers[-1])
     return VisitationResult(per_step=layers, total=np.sum(layers, axis=0),
                             horizon=horizon)
 
@@ -61,6 +57,7 @@ def demo_state_visits(trajectories, n_states):
     """Average per-trajectory state visit counts, as a length-|X| vector."""
     if not trajectories:
         raise EmptyData("no trajectories given")
+    check_trajectories(trajectories, n_states)
     visits = np.zeros(n_states)
     for traj in trajectories:
         np.add.at(visits, traj.states, 1.0)

@@ -70,14 +70,16 @@ class TrueReward:
 
 
 def _windy_transitions(n, wind, n_actions=4, absorbing=()):
-    """Per-action matrices for windy grid motion.
+    """Sparse per-action transitions for windy grid motion.
 
     Intended move with probability 1 - p, plus p/4 for every direction;
     blocked moves stay in place. A fifth action, if requested, is a
     deterministic Stay. Absorbing states self-loop under every action.
+    Probabilities that land on the same cell are added in the order intent,
+    then N, S, E, W.
     """
     n_states = n * n
-    mats = [np.zeros((n_states, n_states)) for _ in range(n_actions)]
+    triplets = [([], [], []) for _ in range(n_actions)]
     absorbing = set(absorbing)
 
     def neighbor(row, col, move):
@@ -89,18 +91,19 @@ def _windy_transitions(n, wind, n_actions=4, absorbing=()):
     for row in range(n):
         for col in range(n):
             x = row * n + col
-            if x in absorbing:
-                for mat in mats:
-                    mat[x, x] = 1.0
-                continue
-            for a in range(n_actions):
-                if a >= 4:  # Stay: no wind
-                    mats[a][x, x] = 1.0
-                    continue
-                mats[a][x, neighbor(row, col, MOVES[a])] += 1.0 - wind
-                for move in MOVES:
-                    mats[a][x, neighbor(row, col, move)] += wind / 4.0
-    return TransitionModel(mats)
+            for a, (rows, cols, values) in enumerate(triplets):
+                if x in absorbing or a >= 4:  # absorbing, or Stay: no wind
+                    probs = {x: 1.0}
+                else:
+                    probs = {neighbor(row, col, MOVES[a]): 1.0 - wind}
+                    for move in MOVES:
+                        y = neighbor(row, col, move)
+                        probs[y] = probs.get(y, 0.0) + wind / 4.0
+                for y in sorted(probs):
+                    rows.append(x)
+                    cols.append(y)
+                    values.append(probs[y])
+    return TransitionModel.from_triplets(n_states, triplets)
 
 
 def _reachable_everywhere(n, target):
@@ -306,8 +309,8 @@ def generate_experts(model, true_reward, n_trajectories, traj_length, seed,
             steps.append((x, a))
             if x in model.goal_states:
                 break
-            x = rng.choice(model.n_states,
-                           p=model.transitions.per_action[a][x])
+            next_states, probs = model.transitions.row(x, a)
+            x = rng.choice(next_states, p=probs)
         trajectories.append(Trajectory(steps))
     return trajectories
 

@@ -32,3 +32,7 @@ class NonPositiveProbability(CcpIrlError):
 
 class NonFiniteGradient(CcpIrlError):
     """Training produced a NaN or infinite gradient."""
+
+
+class InvalidInput(CcpIrlError):
+    """A model, trajectory set or other input fails validation."""

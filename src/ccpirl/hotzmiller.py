@@ -7,24 +7,26 @@ With sigma the choice probabilities, the value fixed point is linear:
     b(x) = sum_a sigma(a|x) (r(x,a) + shock_correction(a|x)).
 
 The inverse depends only on sigma, beta, and T, so it is built once and
-reused for every reward evaluation. Direct mode factorizes (I - beta*F)
-(materializing the explicit inverse only for small state spaces); iterative
-mode stores F and solves v = b + beta*F*v by successive approximation, which
-scales better for very large state spaces.
+reused for every reward evaluation. F is sparse (it has the non-zeros of
+the transitions). Direct mode factorizes (I - beta*F) with a sparse LU
+(materializing the explicit inverse from it only for small state spaces);
+iterative mode stores F and solves v = b + beta*F*v by successive
+approximation.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 from .ccp import expected_shock
 from .errors import MaxSweepsExceeded, SingularMatrix
 from .instrumentation import counters
 from .model import ExAnteValue
 
-# Direct mode materializes the inverse below this size; above it, keeps LU
-# factors and back-substitutes per right-hand side.
+# Direct mode materializes the inverse up to this size; above it, keeps the
+# sparse LU factors and back-substitutes per right-hand side.
 MATERIALIZE_MAX = 256
 # Auto mode switches to successive approximation above this size.
 DIRECT_MODE_MAX = 4096
@@ -38,53 +40,52 @@ class HotzMillerOperator:
     mode: str  # "direct" or "iterative"
     beta: float
     ccp: object
-    policy_transition: np.ndarray  # F, row-stochastic
+    policy_transition: scipy.sparse.csr_matrix  # F, row-stochastic
     shock_correction: np.ndarray  # (|X|, |A|)
     inverse_matrix: np.ndarray = None  # direct mode, small systems only
-    lu_factors: tuple = None  # direct mode, large systems
+    lu: scipy.sparse.linalg.SuperLU = None  # direct mode, large systems
     tolerance: float = ITERATIVE_TOLERANCE
     max_sweeps: int = ITERATIVE_MAX_SWEEPS
 
 
-def build_operator(model, ccp, mode="auto"):
-    """Assemble F and the one-time inverse (or its factorization).
+def factorize(F, beta):
+    """Sparse LU factors of I - beta*F; raises SingularMatrix if there are
+    none."""
+    n = F.shape[0]
+    system = (scipy.sparse.identity(n, format="csc") - beta * F).tocsc()
+    if not np.all(np.isfinite(system.data)):
+        raise SingularMatrix("I - beta*F has non-finite entries")
+    try:
+        return scipy.sparse.linalg.splu(system)
+    except RuntimeError as exc:
+        raise SingularMatrix(f"factorization of I - beta*F failed: {exc}") from exc
 
-    The elementwise sigma-weighting of each transition block is a diagonal
-    row scaling: row x of T(a) is multiplied by sigma(a|x).
-    """
+
+def build_operator(model, ccp, mode="auto"):
+    """Assemble the sparse F and the one-time factorization (and, for small
+    systems, the inverse)."""
     if mode not in ("auto", "direct", "iterative"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "auto":
         mode = "direct" if model.n_states <= DIRECT_MODE_MAX else "iterative"
     counters.operator_builds += 1
 
-    sigma = ccp.probs
     n = model.n_states
-    F = np.zeros((n, n))
-    for a, mat in enumerate(model.transitions.per_action):
-        F += sigma[:, a, None] * mat
-    shock = expected_shock(ccp)
-
+    F = model.transitions.weighted(ccp.probs)
     op = HotzMillerOperator(
         mode=mode,
         beta=model.discount,
         ccp=ccp,
         policy_transition=F,
-        shock_correction=shock,
+        shock_correction=expected_shock(ccp),
     )
     if mode == "direct":
-        system = np.eye(n) - model.discount * F
-        try:
-            counters.factorizations += 1
-            lu, piv = scipy.linalg.lu_factor(system)
-        except (scipy.linalg.LinAlgError, ValueError) as exc:
-            raise SingularMatrix(f"factorization of I - beta*F failed: {exc}") from exc
-        if not np.all(np.isfinite(lu)):
-            raise SingularMatrix("factorization of I - beta*F produced non-finite factors")
+        counters.factorizations += 1
+        lu = factorize(F, model.discount)
         if n <= MATERIALIZE_MAX:
-            op.inverse_matrix = scipy.linalg.lu_solve((lu, piv), np.eye(n))
+            op.inverse_matrix = lu.solve(np.eye(n))
         else:
-            op.lu_factors = (lu, piv)
+            op.lu = lu
     return op
 
 
@@ -102,7 +103,7 @@ def exante_value(op, rewards):
         if op.inverse_matrix is not None:
             v = op.inverse_matrix @ b
         else:
-            v = scipy.linalg.lu_solve(op.lu_factors, b)
+            v = op.lu.solve(b)
     else:
         v = iterative_inverse_apply(
             op.policy_transition, op.beta, b, op.tolerance, op.max_sweeps

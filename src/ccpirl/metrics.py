@@ -12,9 +12,9 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .errors import EmptyData, MaxSweepsExceeded, SingularMatrix
+from .errors import EmptyData, MaxSweepsExceeded
+from .hotzmiller import factorize
 from .model import SoftPolicy, trajectories_to_json
 from .rewards import broadcast_rewards
 
@@ -59,10 +59,10 @@ def hard_value_iteration(model, rewards, tolerance=1e-8, max_sweeps=100000):
     """
     r = _reward_table(model, rewards)
     beta = model.discount
-    mats = model.transitions.per_action
+    next_values = model.transitions.next_values
     v = np.zeros(model.n_states)
     for _ in range(max_sweeps):
-        q = r + beta * np.column_stack([m @ v for m in mats])
+        q = r + beta * next_values(v)
         v_new = q.max(axis=1)
         residual = np.max(np.abs(v_new - v))
         v = v_new
@@ -81,15 +81,9 @@ def policy_evaluation(model, rewards, policy):
     """Exact value of a fixed policy: solve (I - beta*T_pi) V = R_pi."""
     r = _reward_table(model, rewards)
     probs = policy.probs if isinstance(policy, SoftPolicy) else np.asarray(policy)
-    n = model.n_states
     r_pi = np.sum(probs * r, axis=1)
-    t_pi = np.zeros((n, n))
-    for a, mat in enumerate(model.transitions.per_action):
-        t_pi += probs[:, a, None] * mat
-    try:
-        return scipy.linalg.solve(np.eye(n) - model.discount * t_pi, r_pi)
-    except scipy.linalg.LinAlgError as exc:  # unreachable for beta < 1
-        raise SingularMatrix(str(exc)) from exc
+    t_pi = model.transitions.weighted(probs)
+    return factorize(t_pi, model.discount).solve(r_pi)
 
 
 def evd(model, true_reward, learned_policy):

@@ -10,6 +10,9 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
+
+from .errors import InvalidInput
 
 ROW_SUM_TOL = 1e-9
 
@@ -20,28 +23,83 @@ def _frozen(a, dtype=float):
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransitionModel:
-    """Per-action row-stochastic matrices; per_action[a][i, j] = T(x_j | x_i, a)."""
+    """Row-stochastic transitions T(x' | x, a) for every action.
 
-    per_action: tuple
+    They are stored once, as one read-only CSR matrix ``csr`` of shape
+    (|X|*|A|, |X|) whose row x*|A| + a is T(. | x, a); grid dynamics have at
+    most five non-zeros per row, so every product below costs O(nnz) rather
+    than O(|X|^2). Dense or sparse per-action input is converted here.
+    """
+
+    csr: scipy.sparse.csr_matrix
+    n_actions: int
+    n_states: int
 
     def __init__(self, matrices):
-        object.__setattr__(
-            self, "per_action", tuple(_frozen(m) for m in matrices)
-        )
+        """From per-action |X| x |X| matrices, dense or scipy.sparse."""
+        blocks = [scipy.sparse.coo_matrix(m, dtype=float) for m in matrices]
+        if not blocks:
+            raise ValueError("a transition model needs at least one action")
+        n = blocks[0].shape[0]
+        if any(b.shape != (n, n) for b in blocks):
+            raise ValueError("transition matrices must all be |X| x |X|")
+        n_actions = len(blocks)
+        stacked = scipy.sparse.coo_matrix(
+            (np.concatenate([b.data for b in blocks]),
+             (np.concatenate([b.row * n_actions + a
+                              for a, b in enumerate(blocks)]),
+              np.concatenate([b.col for b in blocks]))),
+            shape=(n * n_actions, n)).tocsr()
+        stacked.eliminate_zeros()
+        stacked.sort_indices()
+        for arr in (stacked.data, stacked.indices, stacked.indptr):
+            arr.setflags(write=False)
+        object.__setattr__(self, "csr", stacked)
+        object.__setattr__(self, "n_actions", n_actions)
+        object.__setattr__(self, "n_states", n)
+
+    @classmethod
+    def from_triplets(cls, n_states, triplets):
+        """From per-action (rows, cols, values) triplets of T(a)."""
+        return cls([scipy.sparse.coo_matrix((v, (r, c)),
+                                            shape=(n_states, n_states))
+                    for r, c, v in triplets])
+
+    def triplets(self):
+        """Per-action (rows, cols, values) of T(a), the inverse of
+        ``from_triplets``."""
+        coo = self.csr.tocoo()
+        x, a = np.divmod(coo.row, self.n_actions)
+        return [(x[a == k], coo.col[a == k], coo.data[a == k])
+                for k in range(self.n_actions)]
 
     @property
-    def n_actions(self):
-        return len(self.per_action)
+    def per_action(self):
+        """Read-only dense T(a) matrices, derived on access (for tests)."""
+        return tuple(_frozen(self.csr[a::self.n_actions].toarray())
+                     for a in range(self.n_actions))
 
-    @property
-    def n_states(self):
-        return self.per_action[0].shape[0]
+    def next_values(self, v):
+        """(|X|, |A|) table of (T(a) v)(x), all actions in one product."""
+        return (self.csr @ v).reshape(self.n_states, self.n_actions)
 
-    def stacked(self):
-        """All matrices as one (|A|, |X|, |X|) array."""
-        return np.stack(self.per_action)
+    def weighted(self, weights):
+        """Sparse F = sum_a diag(weights[:, a]) T(a), for (|X|, |A|) weights
+        such as choice probabilities or a policy."""
+        n, k = self.n_states, self.n_actions
+        # row x of the selector holds weights[x, :] at columns x*|A| + a
+        selector = scipy.sparse.csr_matrix(
+            (np.ravel(weights).astype(float), np.arange(n * k),
+             np.arange(0, n * k + 1, k)), shape=(n, n * k))
+        return selector @ self.csr
+
+    def row(self, x, a):
+        """(next states, probabilities) of T(. | x, a), columns ascending."""
+        i = x * self.n_actions + a
+        lo, hi = self.csr.indptr[i], self.csr.indptr[i + 1]
+        return self.csr.indices[lo:hi], self.csr.data[lo:hi]
 
 
 @dataclass(frozen=True)
@@ -145,7 +203,8 @@ def validate_model(model):
     """Check every structural invariant; returns a list of violation strings.
 
     An empty list means the model is well-formed. This reports rather than
-    raises so callers can surface all problems at once.
+    raises so callers can surface all problems at once. Transitions are
+    checked on their stored non-zeros, without a dense copy.
     """
     report = []
     if model.n_states < 1:
@@ -157,19 +216,30 @@ def validate_model(model):
             f"discount must lie in [0, 1); got {model.discount} "
             "(discount >= 1 makes the value operator non-invertible)"
         )
-    if model.transitions.n_actions != model.n_actions:
-        report.append("transition model action count mismatch")
-    for a, mat in enumerate(model.transitions.per_action):
-        if mat.shape != (model.n_states, model.n_states):
-            report.append(f"transition matrix for action {a} has wrong shape")
-            continue
-        if np.any(mat < 0.0) or np.any(mat > 1.0):
-            report.append(f"transition matrix for action {a} has entries outside [0, 1]")
-        sums = mat.sum(axis=1)
-        bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)
-        for row in bad[:5]:
+    trans = model.transitions
+    if trans.n_actions != model.n_actions:
+        report.append(f"transition model has {trans.n_actions} actions, "
+                      f"expected {model.n_actions}")
+    elif trans.n_states != model.n_states:
+        report.append(f"transition matrices are {trans.n_states} x "
+                      f"{trans.n_states}, expected {model.n_states} x "
+                      f"{model.n_states}")
+    else:
+        data = trans.csr.data
+        outside = ~((data >= 0.0) & (data <= 1.0))
+        if np.any(outside):
+            rows = np.repeat(np.arange(trans.csr.shape[0]),
+                             np.diff(trans.csr.indptr))
+            for a in np.unique(rows[outside] % trans.n_actions):
+                report.append(f"transition matrix for action {a} has "
+                              "entries outside [0, 1]")
+        sums = np.asarray(trans.csr.sum(axis=1)).ravel()
+        bad = np.flatnonzero(~(np.abs(sums - 1.0) <= ROW_SUM_TOL))
+        for i in bad[:5]:
+            row, a = divmod(int(i), trans.n_actions)
             report.append(
-                f"transition row {row} for action {a} sums to {sums[row]:.6g}, not 1"
+                f"transition row {row} for action {a} sums to "
+                f"{sums[i]:.6g}, not 1"
             )
     if model.features.values.shape[0] != model.n_states:
         report.append("feature matrix row count does not match n_states")
@@ -190,21 +260,36 @@ def validate_model(model):
     return report
 
 
+def check_trajectories(trajectories, n_states, n_actions=None):
+    """Raise InvalidInput unless every state index lies in [0, n_states)
+    and, if n_actions is given, every action index in [0, n_actions)."""
+    for i, traj in enumerate(trajectories):
+        for kind, idx, bound in (("state", traj.states, n_states),
+                                 ("action", traj.actions, n_actions)):
+            if bound is None:
+                continue
+            bad = idx[(idx < 0) | (idx >= bound)]
+            if bad.size:
+                raise InvalidInput(
+                    f"trajectory {i} has {kind} index {int(bad[0])} outside "
+                    f"[0, {bound})")
+
+
 def expected_next_value(model, vbar, action):
     """T(a) . Vbar, the expected next-period ex-ante value per state."""
     v = vbar.values if isinstance(vbar, ExAnteValue) else np.asarray(vbar, dtype=float)
-    mat = model.transitions.per_action[action]
     if v.shape != (model.n_states,):
         raise ValueError(
             f"value vector has length {v.shape}, expected ({model.n_states},)"
         )
-    return mat @ v
+    return model.transitions.next_values(v)[:, action]
 
 
 # ---------------------------------------------------------------------------
 # Serialization. Trajectories: a JSON array of trajectories, each an array of
-# [state, action] pairs. Models: dimensions, discount, flattened transition
-# tensor, feature matrix, initial distribution, and goal states.
+# [state, action] pairs. Models: dimensions, discount, per-action sparse
+# transitions as {"rows", "cols", "values"} triplets, feature matrix, initial
+# distribution, and goal states.
 # ---------------------------------------------------------------------------
 
 
@@ -222,8 +307,12 @@ def save_trajectories(path, trajectories):
 
 
 def load_trajectories(path):
-    with open(path) as fh:
-        return trajectories_from_json(json.load(fh))
+    """Read a trajectory file; raises InvalidInput if it is malformed."""
+    try:
+        with open(path) as fh:
+            return trajectories_from_json(json.load(fh))
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"malformed trajectory file {path}: {exc}") from exc
 
 
 def model_to_json(model):
@@ -231,7 +320,10 @@ def model_to_json(model):
         "n_states": model.n_states,
         "n_actions": model.n_actions,
         "discount": model.discount,
-        "transitions": [m.ravel().tolist() for m in model.transitions.per_action],
+        "transitions": [
+            {"rows": r.tolist(), "cols": c.tolist(), "values": v.tolist()}
+            for r, c, v in model.transitions.triplets()
+        ],
         "features": model.features.values.tolist(),
         "initial_dist": model.initial_dist.tolist(),
         "goal_states": sorted(model.goal_states),
@@ -239,24 +331,45 @@ def model_to_json(model):
 
 
 def model_from_json(data):
-    n = data["n_states"]
-    mats = [np.asarray(m, dtype=float).reshape(n, n) for m in data["transitions"]]
-    return DdcModel(
-        n_states=n,
-        n_actions=data["n_actions"],
-        transitions=TransitionModel(mats),
-        discount=float(data["discount"]),
-        features=FeatureMatrix(np.asarray(data["features"], dtype=float)),
-        initial_dist=np.asarray(data["initial_dist"], dtype=float),
-        goal_states=frozenset(data["goal_states"]),
-    )
+    """Rebuild a model; raises InvalidInput for a malformed document,
+    including one in the dense transition layout of earlier versions."""
+    try:
+        blocks = data["transitions"]
+        if any(not isinstance(b, dict) for b in blocks):
+            raise InvalidInput(
+                "model file stores dense transition matrices, a layout this "
+                "version no longer reads; rerun `ccpirl gen-env` to "
+                "regenerate it")
+        n = int(data["n_states"])
+        return DdcModel(
+            n_states=n,
+            n_actions=int(data["n_actions"]),
+            transitions=TransitionModel.from_triplets(
+                n, [(b["rows"], b["cols"], b["values"]) for b in blocks]),
+            discount=float(data["discount"]),
+            features=FeatureMatrix(np.asarray(data["features"], dtype=float)),
+            initial_dist=np.asarray(data["initial_dist"], dtype=float),
+            goal_states=frozenset(data["goal_states"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidInput(f"malformed model file: {exc}") from exc
 
 
 def save_model(path, model):
     with open(path, "w") as fh:
-        json.dump(model_to_json(model), fh)
+        fh.write(json.dumps(model_to_json(model)))
 
 
 def load_model(path):
-    with open(path) as fh:
-        return model_from_json(json.load(fh))
+    """Read and validate a model file; raises InvalidInput if it is
+    malformed or fails validate_model."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except ValueError as exc:
+        raise InvalidInput(f"model file {path} is not JSON: {exc}") from exc
+    model = model_from_json(data)
+    problems = validate_model(model)
+    if problems:
+        raise InvalidInput(f"invalid model file {path}: " + "; ".join(problems))
+    return model

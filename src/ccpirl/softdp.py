@@ -13,7 +13,6 @@ standard Gumbel shock and is a module constant, not a tunable.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import MaxSweepsExceeded
 from .instrumentation import counters
@@ -45,17 +44,25 @@ def _check_rewards(model, rewards):
     return r
 
 
-def _next_values(model, v):
-    """(|X|, |A|) matrix of (T(a) v)(x)."""
-    return np.column_stack([mat @ v for mat in model.transitions.per_action])
+def logsumexp_rows(q):
+    """log sum_a exp(q[x, a]) per row, shifted by the row maximum.
+
+    A plain numpy version of scipy.special.logsumexp(q, axis=1), which is
+    several times slower on the small tables soft VI sweeps over.
+    """
+    top = q.max(axis=1)
+    return top + np.log(np.exp(q - top[:, None]).sum(axis=1))
+
+
+def _values(vbar):
+    return vbar.values if isinstance(vbar, ExAnteValue) else np.asarray(vbar, dtype=float)
 
 
 def soft_bellman_backup(model, rewards, vbar):
     """One application of the soft Bellman operator."""
     r = _check_rewards(model, rewards)
-    v = vbar.values if isinstance(vbar, ExAnteValue) else np.asarray(vbar, dtype=float)
-    q = r + model.discount * _next_values(model, v)
-    return ExAnteValue(logsumexp(q, axis=1) + EULER_GAMMA)
+    q = r + model.discount * model.transitions.next_values(_values(vbar))
+    return ExAnteValue(logsumexp_rows(q) + EULER_GAMMA)
 
 
 def solve_soft_vi(model, rewards, config=None, v0=None):
@@ -68,11 +75,11 @@ def solve_soft_vi(model, rewards, config=None, v0=None):
     r = _check_rewards(model, rewards)
     counters.soft_vi_solves += 1
     beta = model.discount
-    mats = model.transitions.per_action
+    next_values = model.transitions.next_values
     v = np.zeros(model.n_states) if v0 is None else np.asarray(v0, dtype=float).copy()
     for sweep in range(1, cfg.max_sweeps + 1):
-        q = r + beta * np.column_stack([m @ v for m in mats])
-        v_new = logsumexp(q, axis=1) + EULER_GAMMA
+        q = r + beta * next_values(v)
+        v_new = logsumexp_rows(q) + EULER_GAMMA
         residual = np.max(np.abs(v_new - v))
         v = v_new
         if residual < cfg.tolerance:
@@ -87,8 +94,8 @@ def solve_soft_vi(model, rewards, config=None, v0=None):
 
 def choice_values(model, rewards, vbar):
     r = _check_rewards(model, rewards)
-    v = vbar.values if isinstance(vbar, ExAnteValue) else np.asarray(vbar, dtype=float)
-    return ChoiceValues(r + model.discount * _next_values(model, v))
+    return ChoiceValues(r + model.discount
+                        * model.transitions.next_values(_values(vbar)))
 
 
 def policy_from_values(q):

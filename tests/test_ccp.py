@@ -9,7 +9,7 @@ from ccpirl.ccp import (
     load_ccp,
     save_ccp,
 )
-from ccpirl.errors import EmptyData, NonPositiveProbability
+from ccpirl.errors import EmptyData, InvalidInput, NonPositiveProbability
 from ccpirl.model import SoftPolicy, Trajectory
 from ccpirl.softdp import EULER_GAMMA
 
@@ -20,6 +20,17 @@ def test_count_pairs_basic():
     assert counts[0, 1] == 2
     assert counts[2, 0] == 1
     assert counts.sum() == 3
+
+
+@pytest.mark.parametrize("steps", [
+    [[-1, 0], [0, 1]],  # a negative state used to wrap to state |X|-1
+    [[0, 0], [4, 1]],   # state == |X|
+    [[0, 0], [1, 2]],   # action == |A|
+    [[0, -1]],          # negative action
+])
+def test_count_pairs_rejects_out_of_range_indices(steps):
+    with pytest.raises(InvalidInput):
+        count_pairs([Trajectory(steps)], 4, 2)
 
 
 def test_count_pairs_is_commutative_merge():

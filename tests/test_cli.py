@@ -250,3 +250,71 @@ def test_train_is_deterministic_given_config(tmp_path):
                    "--out", str(out)) == 0
         checkpoints.append(json.loads((out / "checkpoint.json").read_text()))
     assert checkpoints[0]["params"] == checkpoints[1]["params"]
+
+
+def _commands(env, demos, tmp_path, checkpoint):
+    return {
+        "train": ["train", "--env-dir", str(env), "--trajectories", str(demos),
+                  "--algo", "ccp", "--iterations", "2", "--seed", "0",
+                  "--out", str(tmp_path / "bad-run")],
+        "estimate-ccp": ["estimate-ccp", "--env-dir", str(env),
+                         "--trajectories", str(demos),
+                         "--out", str(tmp_path / "ccp.json")],
+        "eval": ["eval", "--env-dir", str(env), "--checkpoint",
+                 str(checkpoint), "--trajectories", str(demos),
+                 "--out", str(tmp_path / "eval.json")],
+    }
+
+
+@pytest.mark.parametrize("steps, message", [
+    ([[-1, 0], [0, 1]], "outside"),
+    ([[0, 0], [16, 1]], "outside"),
+    ([[0, 4]], "outside"),
+    ([], "malformed"),
+    ([[0, 1, 2]], "malformed"),
+])
+def test_bad_demo_files_are_config_errors(tmp_path, capsys, steps, message):
+    env = gen_env(tmp_path)  # 16 states, 4 actions
+    good = gen_experts(tmp_path, env)
+    assert run("train", "--env-dir", str(env), "--trajectories", str(good),
+               "--algo", "ccp", "--iterations", "1", "--seed", "0",
+               "--out", str(tmp_path / "run")) == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps([steps]))
+    capsys.readouterr()
+    for name, argv in _commands(env, bad, tmp_path,
+                                tmp_path / "run" / "checkpoint.json").items():
+        assert run(*argv) == 2, name
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), (name, err)
+        assert message in err[0]
+
+
+def test_gen_env_rejects_unit_discount(tmp_path, capsys):
+    code = run("gen-env", "--env", "fixed", "--n", "4", "--beta", "1.0",
+               "--seed", "0", "--out", str(tmp_path / "env"))
+    assert code == 2
+    assert "discount" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d.update(discount=1.0), "discount"),
+    (lambda d: d["transitions"][1]["values"].__setitem__(0, 2.0), "sums to"),
+    (lambda d: d.update(n_states=17), "feature matrix row count"),
+    (lambda d: d["transitions"].__setitem__(
+        0, [1.0] + [0.0] * 255), "gen-env"),
+])
+def test_invalid_model_files_are_config_errors(tmp_path, capsys, edit,
+                                               message):
+    env = gen_env(tmp_path)
+    demos = gen_experts(tmp_path, env)
+    data = json.loads((env / "model.json").read_text())
+    edit(data)
+    (env / "model.json").write_text(json.dumps(data))
+    capsys.readouterr()
+    code = run("train", "--env-dir", str(env), "--trajectories", str(demos),
+               "--algo", "ccp", "--iterations", "1", "--seed", "0",
+               "--out", str(tmp_path / "run"))
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and message in err[0]

@@ -16,7 +16,7 @@ from ccpirl.engine import (
     train_maxent,
 )
 from ccpirl.envs import GridSpec, build_fixed_target, generate_experts
-from ccpirl.errors import EmptyData, NonFiniteGradient
+from ccpirl.errors import EmptyData, InvalidInput, NonFiniteGradient
 from ccpirl.hotzmiller import build_operator, exante_value
 from ccpirl.instrumentation import counters
 from ccpirl.metrics import evd, uniform_policy
@@ -140,6 +140,12 @@ def test_visitation_feature_expectations():
     )
     vis = forward_pass(model, np.ones((1, 1)), 1)
     assert np.allclose(feature_expectations_from_visitation(vis, feats), [6.0])
+
+
+@pytest.mark.parametrize("state", [-1, 4])
+def test_demo_state_visits_rejects_out_of_range_states(state):
+    with pytest.raises(InvalidInput):
+        demo_state_visits([Trajectory([(0, 0), (state, 1)])], 4)
 
 
 def test_default_horizon_tracks_longest_demo():

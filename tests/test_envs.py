@@ -50,6 +50,37 @@ def test_windy_corner_wall_bounce():
     assert abs(row[4] - wind / 4.0) < 1e-12  # south neighbor
 
 
+def _dense_windy(n, wind, n_actions, absorbing):
+    """The dense construction the sparse triplets replace."""
+    mats = [np.zeros((n * n, n * n)) for _ in range(n_actions)]
+
+    def neighbor(row, col, move):
+        r, c = row + move[0], col + move[1]
+        return r * n + c if 0 <= r < n and 0 <= c < n else row * n + col
+
+    for row in range(n):
+        for col in range(n):
+            x = row * n + col
+            for a in range(n_actions):
+                if x in absorbing or a >= 4:
+                    mats[a][x, x] = 1.0
+                    continue
+                mats[a][x, neighbor(row, col, MOVES[a])] += 1.0 - wind
+                for move in MOVES:
+                    mats[a][x, neighbor(row, col, move)] += wind / 4.0
+    return mats
+
+
+def test_windy_transitions_equal_dense_construction_bitwise():
+    fixed, _ = build_fixed_target(GridSpec(n=6, wind=0.3, seed=0))
+    world, _ = build_objectworld(ObjectworldSpec(n=5, seed=0))
+    for model, n, absorbing in ((fixed, 6, fixed.goal_states),
+                                (world, 5, ())):
+        want = _dense_windy(n, 0.3, model.n_actions, absorbing)
+        for got, mat in zip(model.transitions.per_action, want):
+            assert np.array_equal(got, mat)
+
+
 def test_transition_rows_sum_to_one_everywhere():
     builders = [
         lambda: build_fixed_target(GridSpec(n=5, seed=1)),

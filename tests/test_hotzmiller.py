@@ -65,7 +65,7 @@ def test_identical_transitions_collapse_to_shared_matrix():
     sigma = rng.random((3, 2)) + 0.1
     sigma /= sigma.sum(axis=1, keepdims=True)
     op = build_operator(model, CCPTable(sigma, np.zeros((3, 2), dtype=np.int64)))
-    assert np.allclose(op.policy_transition, mat)
+    assert np.allclose(op.policy_transition.toarray(), mat)
 
 
 def test_inverse_multiplies_back_to_identity():
@@ -74,7 +74,7 @@ def test_inverse_multiplies_back_to_identity():
     sigma = rng.random((6, 3)) + 0.1
     sigma /= sigma.sum(axis=1, keepdims=True)
     op = build_operator(model, CCPTable(sigma, np.zeros((6, 3), dtype=np.int64)))
-    system = np.eye(6) - model.discount * op.policy_transition
+    system = np.eye(6) - model.discount * op.policy_transition.toarray()
     assert np.allclose(op.inverse_matrix @ system, np.eye(6), atol=1e-8)
 
 
@@ -96,8 +96,8 @@ def test_policy_transition_is_row_stochastic():
     sigma = rng.random((7, 4)) + 0.1
     sigma /= sigma.sum(axis=1, keepdims=True)
     op = build_operator(model, CCPTable(sigma, np.zeros((7, 4), dtype=np.int64)))
-    assert np.allclose(op.policy_transition.sum(axis=1), 1.0, atol=1e-12)
-    assert np.all(op.policy_transition >= 0.0)
+    assert np.allclose(op.policy_transition.toarray().sum(axis=1), 1.0, atol=1e-12)
+    assert np.all(op.policy_transition.toarray() >= 0.0)
 
 
 def test_scalar_value_matches_soft_vi():

@@ -1,6 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
+from ccpirl.envs import GridSpec, build_fixed_target
+from ccpirl.errors import InvalidInput
 from ccpirl.model import (
     DdcModel,
     FeatureMatrix,
@@ -9,6 +13,7 @@ from ccpirl.model import (
     expected_next_value,
     load_model,
     load_trajectories,
+    model_to_json,
     save_model,
     save_trajectories,
     validate_model,
@@ -62,6 +67,17 @@ def test_validate_flags_negative_transition_entries():
         initial_dist=np.array([1.0, 0.0]),
     )
     assert any("outside [0, 1]" in msg for msg in validate_model(model))
+
+
+def test_validate_flags_transition_shape_mismatch():
+    model = DdcModel(
+        n_states=3, n_actions=2,
+        transitions=TransitionModel([np.eye(2), np.eye(2)]),
+        discount=0.9,
+        features=FeatureMatrix(np.eye(3)),
+        initial_dist=np.full(3, 1 / 3),
+    )
+    assert any("2 x 2, expected 3 x 3" in msg for msg in validate_model(model))
 
 
 def test_validate_flags_bad_initial_distribution():
@@ -166,3 +182,73 @@ def test_model_round_trip(tmp_path):
         assert np.allclose(loaded.transitions.per_action[a],
                            model.transitions.per_action[a])
     assert validate_model(loaded) == []
+
+
+def test_transitions_are_one_stacked_csr():
+    rng = np.random.default_rng(5)
+    model = random_model(rng, n_states=4, n_actions=3)
+    csr = model.transitions.csr
+    assert csr.format == "csr"
+    assert csr.shape == (4 * 3, 4)
+    for a, mat in enumerate(model.transitions.per_action):
+        for x in range(4):
+            assert np.array_equal(csr[x * 3 + a].toarray().ravel(), mat[x])
+
+
+def test_transition_matrices_must_share_one_square_shape():
+    with pytest.raises(ValueError):
+        TransitionModel([np.eye(2), np.eye(3)])
+    with pytest.raises(ValueError):
+        TransitionModel([np.ones((2, 3)) / 3])
+
+
+def test_triplet_round_trip_keeps_every_entry():
+    model, _ = build_fixed_target(GridSpec(n=5, seed=0))
+    rebuilt = TransitionModel.from_triplets(model.n_states,
+                                            model.transitions.triplets())
+    for a, b in zip(rebuilt.per_action, model.transitions.per_action):
+        assert np.array_equal(a, b)
+
+
+def test_model_file_stores_sparse_triplets(tmp_path):
+    model, _ = build_fixed_target(GridSpec(n=6, seed=0))
+    path = tmp_path / "m.json"
+    save_model(path, model)
+    with open(path) as fh:
+        blocks = json.load(fh)["transitions"]
+    assert len(blocks) == model.n_actions
+    assert sum(len(b["values"]) for b in blocks) == model.transitions.csr.nnz
+    loaded = load_model(path)
+    for a, b in zip(loaded.transitions.per_action,
+                    model.transitions.per_action):
+        assert np.array_equal(a, b)
+
+
+def _write(path, data):
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+    return path
+
+
+def test_load_rejects_dense_layout_with_regenerate_hint(tmp_path):
+    model = identity_model()
+    data = model_to_json(model)
+    data["transitions"] = [m.ravel().tolist()
+                           for m in model.transitions.per_action]
+    with pytest.raises(InvalidInput, match="gen-env"):
+        load_model(_write(tmp_path / "m.json", data))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d.update(discount=1.0), "discount"),
+    (lambda d: d["transitions"][0]["values"].__setitem__(0, 0.5), "sums to"),
+    (lambda d: d.update(n_actions=3), "actions"),
+    (lambda d: d["transitions"][0]["cols"].__setitem__(0, 2), "malformed"),
+    (lambda d: d["features"].pop(), "feature matrix"),
+    (lambda d: d.pop("initial_dist"), "malformed"),
+])
+def test_load_validates_model(tmp_path, edit, message):
+    data = model_to_json(identity_model())
+    edit(data)
+    with pytest.raises(InvalidInput, match=message):
+        load_model(_write(tmp_path / "m.json", data))

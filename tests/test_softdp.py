@@ -7,6 +7,7 @@ from ccpirl.softdp import (
     EULER_GAMMA,
     SoftDpConfig,
     choice_values,
+    logsumexp_rows,
     policy_from_values,
     soft_bellman_backup,
     solve_policy,
@@ -192,3 +193,13 @@ def test_reward_shift_moves_value_not_policy():
     v2, p2, _ = solve_policy(model, r + c, cfg)
     assert np.allclose(v2.values - v1.values, c / (1 - 0.9), atol=1e-8)
     assert np.allclose(p1.probs, p2.probs, atol=1e-9)
+
+
+def test_logsumexp_rows_matches_scipy():
+    from scipy.special import logsumexp
+
+    rng = np.random.default_rng(12)
+    for scale in (1.0, 50.0, 700.0):
+        q = rng.standard_normal((1024, 4)) * scale
+        assert np.allclose(logsumexp_rows(q), logsumexp(q, axis=1),
+                           rtol=1e-14, atol=1e-12)
