@@ -57,7 +57,8 @@ def hard_value_iteration(model, rewards, tolerance=1e-8, max_sweeps=100000):
     Returns the optimal values and the greedy policy (deterministic,
     encoded as a one-hot row-stochastic matrix).
     """
-    r = _reward_table(model, rewards)
+    # column-major like next_values, so that q is too (see next_values)
+    r = np.asfortranarray(_reward_table(model, rewards))
     beta = model.discount
     next_values = model.transitions.next_values
     v = np.zeros(model.n_states)

@@ -28,9 +28,10 @@ class TransitionModel:
     """Row-stochastic transitions T(x' | x, a) for every action.
 
     They are stored once, as one read-only CSR matrix ``csr`` of shape
-    (|X|*|A|, |X|) whose row x*|A| + a is T(. | x, a); grid dynamics have at
-    most five non-zeros per row, so every product below costs O(nnz) rather
-    than O(|X|^2). Dense or sparse per-action input is converted here.
+    (|A|*|X|, |X|) whose row a*|X| + x is T(. | x, a), that is, the T(a)
+    stacked on top of each other; grid dynamics have at most five non-zeros
+    per row, so every product below costs O(nnz) rather than O(|X|^2).
+    Dense or sparse per-action input is converted here.
     """
 
     csr: scipy.sparse.csr_matrix
@@ -39,25 +40,19 @@ class TransitionModel:
 
     def __init__(self, matrices):
         """From per-action |X| x |X| matrices, dense or scipy.sparse."""
-        blocks = [scipy.sparse.coo_matrix(m, dtype=float) for m in matrices]
+        blocks = [scipy.sparse.csr_matrix(m, dtype=float) for m in matrices]
         if not blocks:
             raise ValueError("a transition model needs at least one action")
         n = blocks[0].shape[0]
         if any(b.shape != (n, n) for b in blocks):
             raise ValueError("transition matrices must all be |X| x |X|")
-        n_actions = len(blocks)
-        stacked = scipy.sparse.coo_matrix(
-            (np.concatenate([b.data for b in blocks]),
-             (np.concatenate([b.row * n_actions + a
-                              for a, b in enumerate(blocks)]),
-              np.concatenate([b.col for b in blocks]))),
-            shape=(n * n_actions, n)).tocsr()
+        stacked = scipy.sparse.vstack(blocks, format="csr")
         stacked.eliminate_zeros()
         stacked.sort_indices()
         for arr in (stacked.data, stacked.indices, stacked.indptr):
             arr.setflags(write=False)
         object.__setattr__(self, "csr", stacked)
-        object.__setattr__(self, "n_actions", n_actions)
+        object.__setattr__(self, "n_actions", len(blocks))
         object.__setattr__(self, "n_states", n)
 
     @classmethod
@@ -70,34 +65,42 @@ class TransitionModel:
     def triplets(self):
         """Per-action (rows, cols, values) of T(a), the inverse of
         ``from_triplets``."""
-        coo = self.csr.tocoo()
-        x, a = np.divmod(coo.row, self.n_actions)
-        return [(x[a == k], coo.col[a == k], coo.data[a == k])
-                for k in range(self.n_actions)]
+        coos = (self._block(a).tocoo() for a in range(self.n_actions))
+        return [(c.row, c.col, c.data) for c in coos]
+
+    def _block(self, a):
+        return self.csr[a * self.n_states:(a + 1) * self.n_states]
 
     @property
     def per_action(self):
         """Read-only dense T(a) matrices, derived on access (for tests)."""
-        return tuple(_frozen(self.csr[a::self.n_actions].toarray())
+        return tuple(_frozen(self._block(a).toarray())
                      for a in range(self.n_actions))
 
     def next_values(self, v):
-        """(|X|, |A|) table of (T(a) v)(x), all actions in one product."""
-        return (self.csr @ v).reshape(self.n_states, self.n_actions)
+        """(|X|, |A|) table of (T(a) v)(x), all actions in one product.
+
+        The table is column-major (a transposed (|A|, |X|) array): added to
+        a column-major reward table, the per-state reductions over actions
+        in soft and hard VI then run over contiguous memory, several times
+        faster than over rows of length |A|.
+        """
+        return (self.csr @ v).reshape(self.n_actions, self.n_states).T
 
     def weighted(self, weights):
         """Sparse F = sum_a diag(weights[:, a]) T(a), for (|X|, |A|) weights
         such as choice probabilities or a policy."""
         n, k = self.n_states, self.n_actions
-        # row x of the selector holds weights[x, :] at columns x*|A| + a
+        # row x of the selector holds weights[x, a] at column a*|X| + x
+        cols = (np.arange(n)[:, None] + n * np.arange(k)).ravel()
         selector = scipy.sparse.csr_matrix(
-            (np.ravel(weights).astype(float), np.arange(n * k),
+            (np.ravel(weights).astype(float), cols,
              np.arange(0, n * k + 1, k)), shape=(n, n * k))
         return selector @ self.csr
 
     def row(self, x, a):
         """(next states, probabilities) of T(. | x, a), columns ascending."""
-        i = x * self.n_actions + a
+        i = a * self.n_states + x
         lo, hi = self.csr.indptr[i], self.csr.indptr[i + 1]
         return self.csr.indices[lo:hi], self.csr.data[lo:hi]
 
@@ -230,13 +233,13 @@ def validate_model(model):
         if np.any(outside):
             rows = np.repeat(np.arange(trans.csr.shape[0]),
                              np.diff(trans.csr.indptr))
-            for a in np.unique(rows[outside] % trans.n_actions):
+            for a in np.unique(rows[outside] // trans.n_states):
                 report.append(f"transition matrix for action {a} has "
                               "entries outside [0, 1]")
         sums = np.asarray(trans.csr.sum(axis=1)).ravel()
         bad = np.flatnonzero(~(np.abs(sums - 1.0) <= ROW_SUM_TOL))
         for i in bad[:5]:
-            row, a = divmod(int(i), trans.n_actions)
+            a, row = divmod(int(i), trans.n_states)
             report.append(
                 f"transition row {row} for action {a} sums to "
                 f"{sums[i]:.6g}, not 1"

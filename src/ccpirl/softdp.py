@@ -72,7 +72,8 @@ def solve_soft_vi(model, rewards, config=None, v0=None):
     the last iterate and residual) if the sup-norm tolerance is not reached.
     """
     cfg = config or SoftDpConfig()
-    r = _check_rewards(model, rewards)
+    # column-major like next_values, so that q is too (see next_values)
+    r = np.asfortranarray(_check_rewards(model, rewards))
     counters.soft_vi_solves += 1
     beta = model.discount
     next_values = model.transitions.next_values

@@ -189,10 +189,10 @@ def test_transitions_are_one_stacked_csr():
     model = random_model(rng, n_states=4, n_actions=3)
     csr = model.transitions.csr
     assert csr.format == "csr"
-    assert csr.shape == (4 * 3, 4)
+    assert csr.shape == (3 * 4, 4)
     for a, mat in enumerate(model.transitions.per_action):
         for x in range(4):
-            assert np.array_equal(csr[x * 3 + a].toarray().ravel(), mat[x])
+            assert np.array_equal(csr[a * 4 + x].toarray().ravel(), mat[x])
 
 
 def test_transition_matrices_must_share_one_square_shape():
