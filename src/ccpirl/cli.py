@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import envs
+from . import envs, softdp
 from .ccp import SmoothingConfig, estimate_ccp, save_ccp
 from .engine import load_checkpoint, save_checkpoint, train_ccp, train_maxent
 from .errors import CcpIrlError, InvalidInput
@@ -26,7 +26,8 @@ from .metrics import BenchCell, BenchSuiteConfig, EvalResult, evd, nll, \
     run_benchmark
 from .model import check_trajectories, load_model, load_trajectories, \
     save_model, save_trajectories, validate_model
-from .rewards import Adam, GradientAscent, LinearReward, MlpReward
+from .rewards import Adam, GradientAscent, LinearReward, MlpReward, \
+    broadcast_rewards
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
@@ -195,6 +196,8 @@ def cmd_train(args):
                                args.iterations, horizon=args.horizon,
                                smoothing=smoothing,
                                start_iteration=start_iteration)
+        final_nll = nll(_soft_optimal_policy(model, report.final_rewards),
+                        trajectories)
     except CcpIrlError as exc:
         raise CliError(f"training failed: {exc}", code=EXIT_NUMERIC)
 
@@ -211,7 +214,14 @@ def cmd_train(args):
         "resume": args.resume,
     })
     print(f"trained {args.algo} for {args.iterations} iterations; "
-          f"final nll {report.records[-1].nll:.4f}")
+          f"final nll {final_nll:.12g}")
+
+
+def _soft_optimal_policy(model, rewards):
+    """The policy a learned reward is scored by: soft VI on the reward, then
+    the softmax of its choice values."""
+    _, policy, _ = softdp.solve_policy(model, rewards)
+    return policy
 
 
 def _write_reward_grid(path, state_rewards):
@@ -228,14 +238,10 @@ def cmd_eval(args):
     if not os.path.exists(args.checkpoint):
         raise CliError(f"missing checkpoint {args.checkpoint}")
     reward, _, _, _ = load_checkpoint(args.checkpoint)
-    from .rewards import broadcast_rewards
-    from .softdp import choice_values, policy_from_values, solve_soft_vi
-
     table = broadcast_rewards(reward.state_rewards(model.features),
                               model.n_actions)
     try:
-        vbar, _ = solve_soft_vi(model, table)
-        policy = policy_from_values(choice_values(model, table, vbar))
+        policy = _soft_optimal_policy(model, table)
         result = EvalResult(
             nll=nll(policy, trajectories),
             evd=evd(model, true_reward, policy) if true_reward else float("nan"),
@@ -325,11 +331,11 @@ def cmd_bench(args):
 # ---------------------------------------------------------------------------
 
 
-def _apply_config_file(parser, argv):
-    """If --config FILE is present, use its values as defaults; explicit
-    flags still override them."""
+def _read_config_file(argv):
+    """Split --config FILE off the arguments; returns the remaining
+    arguments and the file's values, which serve as defaults."""
     if "--config" not in argv:
-        return argv
+        return argv, {}
     idx = argv.index("--config")
     try:
         path = argv[idx + 1]
@@ -341,15 +347,12 @@ def _apply_config_file(parser, argv):
         values = json.load(fh)
     defaults = {k.replace("-", "_"): v for k, v in values.items()
                 if k != "command"}
-    # subcommands parse into a fresh namespace, so the defaults must be set
-    # on every subcommand parser, not just the top-level one
-    parser.set_defaults(**defaults)
-    for sub in getattr(parser, "_command_parsers", {}).values():
-        sub.set_defaults(**defaults)
-    return argv[:idx] + argv[idx + 2:]
+    return argv[:idx] + argv[idx + 2:], defaults
 
 
-def build_parser():
+def build_parser(defaults=None):
+    """The ccpirl parser; ``defaults`` (say, from a config file) override
+    every subcommand's defaults, and explicit flags still override them."""
     parser = argparse.ArgumentParser(
         prog="ccpirl",
         description="Inverse reinforcement learning with and without "
@@ -416,23 +419,18 @@ def build_parser():
     p.add_argument("--no-warmup", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bench)
-    parser._command_parsers = {
-        "gen-env": sub.choices["gen-env"],
-        "gen-experts": sub.choices["gen-experts"],
-        "estimate-ccp": sub.choices["estimate-ccp"],
-        "train": sub.choices["train"],
-        "eval": sub.choices["eval"],
-        "bench": sub.choices["bench"],
-    }
+    # subcommands parse into a fresh namespace, so the defaults are set on
+    # each subcommand parser
+    for p in sub.choices.values():
+        p.set_defaults(**(defaults or {}))
     return parser
 
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        argv = _apply_config_file(parser, argv)
-        args = parser.parse_args(argv)
+        argv, defaults = _read_config_file(argv)
+        args = build_parser(defaults).parse_args(argv)
         args.func(args)
         return 0
     except CliError as exc:

@@ -1,9 +1,10 @@
-"""The two IRL training loops and the state-visitation forward pass.
+"""The IRL training loop, its two trainers and the state-visitation
+forward pass.
 
-Both loops ascend the demonstration likelihood with the gradient
-(demo feature expectations) - (model feature expectations). They differ
-only in how the ex-ante value function is produced each iteration: the
-classic loop re-solves the soft Bellman fixed point, the CCP loop evaluates
+The loop ascends the demonstration likelihood with the gradient
+(demo feature expectations) - (model feature expectations). The two
+trainers differ only in how the ex-ante value function is produced each
+iteration: maxent re-solves the soft Bellman fixed point, ccp evaluates
 a linear operator built once from the empirical choice probabilities.
 """
 
@@ -13,13 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ccp import SmoothingConfig, estimate_ccp
+from .ccp import estimate_ccp
 from .errors import EmptyData, NonFiniteGradient
 from .hotzmiller import build_operator, exante_value
+from .metrics import nll
 from .model import SoftPolicy, check_trajectories
 from .rewards import Adam, GradientAscent, LinearReward, MlpReward, \
     broadcast_rewards, mlp_backward
-from .softdp import SoftDpConfig, choice_values, policy_from_values, solve_soft_vi
+from .softdp import choice_values, policy_from_values, solve_soft_vi
 
 
 @dataclass(frozen=True)
@@ -91,7 +93,6 @@ class TrainReport:
     final_policy: SoftPolicy
     setup_seconds: float
     horizon: int
-    worker_count: int = 1
 
     @property
     def total_seconds(self):
@@ -105,15 +106,6 @@ class TrainReport:
                     f"{r.iteration},{r.nll:.10g},{r.grad_norm:.10g},"
                     f"{r.dp_seconds:.6g},{r.total_seconds:.6g}\n"
                 )
-
-
-def _demo_nll(policy, trajectories):
-    probs = policy.probs
-    tiny = np.finfo(float).tiny
-    total = 0.0
-    for traj in trajectories:
-        total -= np.log(np.maximum(probs[traj.states, traj.actions], tiny)).sum()
-    return total / len(trajectories)
 
 
 def default_horizon(trajectories):
@@ -146,12 +138,12 @@ def _reward_table(reward_param, model):
                              model.n_actions)
 
 
-def train_maxent(model, trajectories, reward_param, optimizer, iterations,
-                 horizon=None, dp_config=None, start_iteration=0):
-    """Classic loop: one full soft-DP solve per gradient step."""
+def _train(algorithm, values, model, trajectories, reward_param, optimizer,
+           iterations, horizon, start_iteration, setup_seconds=0.0):
+    """The loop both trainers run. ``values(rewards)`` returns the ex-ante
+    value of a reward table: the one step in which the trainers differ."""
     if not trajectories:
         raise EmptyData("no trajectories given")
-    dp_config = dp_config or SoftDpConfig()
     horizon = horizon or default_horizon(trajectories)
     mu_demo = feature_expectations_from_demos(trajectories, model.features)
     visit_demo = demo_state_visits(trajectories, model.n_states)
@@ -162,90 +154,58 @@ def train_maxent(model, trajectories, reward_param, optimizer, iterations,
     if iterations == 0:
         # no-op training: evaluate the starting point once
         rewards = _reward_table(reward_param, model)
-        vbar, _ = solve_soft_vi(model, rewards, dp_config)
-        policy = policy_from_values(choice_values(model, rewards, vbar))
+        policy = policy_from_values(choice_values(model, rewards,
+                                                  values(rewards)))
         records.append(IterationRecord(start_iteration,
-                                       _demo_nll(policy, trajectories),
+                                       nll(policy, trajectories),
                                        float("nan"), 0.0, 0.0, 0.0))
     for it in range(start_iteration, start_iteration + iterations):
         t0 = time.perf_counter()
         rewards = _reward_table(reward_param, model)
         t_dp = time.perf_counter()
-        vbar, _ = solve_soft_vi(model, rewards, dp_config)
+        vbar = values(rewards)
         dp_seconds = time.perf_counter() - t_dp
         policy = policy_from_values(choice_values(model, rewards, vbar))
-        nll = _demo_nll(policy, trajectories)
+        demo_nll = nll(policy, trajectories)
         vis = forward_pass(model, policy, horizon)
         grads = _gradient(reward_param, model, mu_demo, visit_demo, vis)
         reward_param.set_params(optimizer.step(reward_param.param_dict(), grads))
         total = time.perf_counter() - t0
         cumulative += total
         grad_norm = max(float(np.max(np.abs(g))) for g in grads.values())
-        records.append(IterationRecord(it, nll, grad_norm, dp_seconds, total,
-                                       cumulative))
+        records.append(IterationRecord(it, demo_nll, grad_norm, dp_seconds,
+                                       total, cumulative))
     return TrainReport(
-        algorithm="maxent",
-        records=records,
-        final_rewards=_reward_table(reward_param, model),
-        final_policy=policy,
-        setup_seconds=0.0,
-        horizon=horizon,
-    )
-
-
-def train_ccp(model, trajectories, reward_param, optimizer, iterations,
-              horizon=None, smoothing=None, ccp_table=None,
-              operator_mode="auto", start_iteration=0):
-    """CCP loop: choice probabilities estimated once, the value operator
-    built once, and only matrix arithmetic inside the iteration."""
-    if not trajectories:
-        raise EmptyData("no trajectories given")
-    smoothing = smoothing or SmoothingConfig()
-    horizon = horizon or default_horizon(trajectories)
-    mu_demo = feature_expectations_from_demos(trajectories, model.features)
-    visit_demo = demo_state_visits(trajectories, model.n_states)
-
-    t_setup = time.perf_counter()
-    if ccp_table is None:
-        ccp_table = estimate_ccp(trajectories, model.n_states, model.n_actions,
-                                 smoothing)
-    op = build_operator(model, ccp_table, mode=operator_mode)
-    setup_seconds = time.perf_counter() - t_setup
-
-    records = []
-    cumulative = 0.0
-    policy = None
-    if iterations == 0:
-        rewards = _reward_table(reward_param, model)
-        vbar = exante_value(op, rewards)
-        policy = policy_from_values(choice_values(model, rewards, vbar))
-        records.append(IterationRecord(start_iteration,
-                                       _demo_nll(policy, trajectories),
-                                       float("nan"), 0.0, 0.0, 0.0))
-    for it in range(start_iteration, start_iteration + iterations):
-        t0 = time.perf_counter()
-        rewards = _reward_table(reward_param, model)
-        t_dp = time.perf_counter()
-        vbar = exante_value(op, rewards)
-        dp_seconds = time.perf_counter() - t_dp
-        policy = policy_from_values(choice_values(model, rewards, vbar))
-        nll = _demo_nll(policy, trajectories)
-        vis = forward_pass(model, policy, horizon)
-        grads = _gradient(reward_param, model, mu_demo, visit_demo, vis)
-        reward_param.set_params(optimizer.step(reward_param.param_dict(), grads))
-        total = time.perf_counter() - t0
-        cumulative += total
-        grad_norm = max(float(np.max(np.abs(g))) for g in grads.values())
-        records.append(IterationRecord(it, nll, grad_norm, dp_seconds, total,
-                                       cumulative))
-    return TrainReport(
-        algorithm="ccp",
+        algorithm=algorithm,
         records=records,
         final_rewards=_reward_table(reward_param, model),
         final_policy=policy,
         setup_seconds=setup_seconds,
         horizon=horizon,
     )
+
+
+def train_maxent(model, trajectories, reward_param, optimizer, iterations,
+                 horizon=None, start_iteration=0):
+    """Classic loop: one full soft-DP solve per gradient step."""
+    return _train("maxent", lambda rewards: solve_soft_vi(model, rewards)[0],
+                  model, trajectories, reward_param, optimizer, iterations,
+                  horizon, start_iteration)
+
+
+def train_ccp(model, trajectories, reward_param, optimizer, iterations,
+              horizon=None, smoothing=None, ccp_table=None, start_iteration=0):
+    """CCP loop: choice probabilities estimated once, the value operator
+    built once, and only matrix arithmetic inside the iteration."""
+    t_setup = time.perf_counter()
+    if ccp_table is None:
+        ccp_table = estimate_ccp(trajectories, model.n_states, model.n_actions,
+                                 smoothing)
+    op = build_operator(model, ccp_table)
+    setup_seconds = time.perf_counter() - t_setup
+    return _train("ccp", lambda rewards: exante_value(op, rewards),
+                  model, trajectories, reward_param, optimizer, iterations,
+                  horizon, start_iteration, setup_seconds)
 
 
 # ---------------------------------------------------------------------------

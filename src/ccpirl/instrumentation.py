@@ -5,7 +5,7 @@ never calls the soft value-iteration solver after setup and that the
 operator is factorized exactly once.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -14,14 +14,12 @@ class Counters:
     operator_builds: int = 0
     factorizations: int = 0
     exante_evals: int = 0
-    extras: dict = field(default_factory=dict)
 
     def reset(self):
         self.soft_vi_solves = 0
         self.operator_builds = 0
         self.factorizations = 0
         self.exante_evals = 0
-        self.extras.clear()
 
     def snapshot(self):
         return {

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import EmptyData, MaxSweepsExceeded
 from .hotzmiller import factorize
-from .model import SoftPolicy, trajectories_to_json
+from .model import SoftPolicy, check_trajectories, trajectories_to_json
 from .rewards import broadcast_rewards
 
 BENCH_CSV_HEADER = (
@@ -28,16 +28,19 @@ def nll(policy, trajectories):
     """Average over trajectories of -sum_t log pi(a_t | x_t).
 
     Probabilities are floored at the smallest positive double so unobserved
-    actions cannot produce infinities.
+    actions cannot produce infinities. Raises InvalidInput for a state or
+    action outside the policy table.
     """
     if not trajectories:
         raise EmptyData("no trajectories to score")
     probs = policy.probs if isinstance(policy, SoftPolicy) else np.asarray(policy)
-    tiny = np.finfo(float).tiny
-    total = 0.0
-    for traj in trajectories:
-        total -= np.log(np.maximum(probs[traj.states, traj.actions], tiny)).sum()
-    return total / len(trajectories)
+    steps = np.concatenate([traj.steps for traj in trajectories])
+    if np.any((steps < 0) | (steps >= probs.shape)):
+        # one check over all steps; the per-trajectory one names the culprit
+        check_trajectories(trajectories, *probs.shape)
+    chosen = probs[steps[:, 0], steps[:, 1]]
+    return -np.log(np.maximum(chosen, np.finfo(float).tiny)).sum() \
+        / len(trajectories)
 
 
 def uniform_policy(n_states, n_actions):
@@ -154,8 +157,6 @@ class BenchRecord:
     n_trajectories: int
     setup_seconds: float
     total_seconds: float
-    min_seconds: float
-    per_iteration_seconds: list
     nll: float
     evd: float
     seed: int
@@ -238,7 +239,6 @@ def run_benchmark(suite, output_dir=None):
                     runs.append(report)
                 final_nll = nll(runs[-1].final_policy, trajectories)
                 final_evd = evd(model, true_reward, runs[-1].final_policy)
-                totals = [r.total_seconds for r in runs]
                 recs = []
                 for rep, report in enumerate(runs):
                     recs.append(BenchRecord(
@@ -251,9 +251,6 @@ def run_benchmark(suite, output_dir=None):
                         n_trajectories=cell.n_trajectories,
                         setup_seconds=report.setup_seconds,
                         total_seconds=report.total_seconds,
-                        min_seconds=min(totals),
-                        per_iteration_seconds=[r.total_seconds
-                                               for r in report.records],
                         nll=final_nll,
                         evd=final_evd,
                         seed=cell.seed,
@@ -277,8 +274,8 @@ def run_benchmark(suite, output_dir=None):
                 algorithm="-", env=f"{cell.env}-n{cell.n}", n_states=0,
                 n_actions=0, beta=cell.beta, iterations=cell.iterations,
                 n_trajectories=cell.n_trajectories, setup_seconds=0.0,
-                total_seconds=0.0, min_seconds=0.0, per_iteration_seconds=[],
-                nll=float("nan"), evd=float("nan"), seed=cell.seed, repeat=0,
+                total_seconds=0.0, nll=float("nan"), evd=float("nan"),
+                seed=cell.seed, repeat=0,
                 error=f"{type(exc).__name__}: {exc}",
             ))
     if output_dir is not None:

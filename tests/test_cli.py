@@ -119,21 +119,25 @@ def test_train_writes_report_rows(tmp_path):
     assert (out / "reward_grid.csv").exists()
 
 
-def test_train_then_eval_both_algorithms(tmp_path):
+def test_train_then_eval_both_algorithms(tmp_path, capsys):
     env = gen_env(tmp_path, n=6)
     demos = gen_experts(tmp_path, env, n=20)
     results = {}
     for algo in ("maxent", "ccp"):
         out = tmp_path / algo
+        capsys.readouterr()
         assert run("train", "--env-dir", str(env),
                    "--trajectories", str(demos), "--algo", algo,
                    "--iterations", "10", "--seed", "0",
                    "--out", str(out)) == 0
+        train_nll = float(capsys.readouterr().out.split("final nll")[1])
         res = tmp_path / f"{algo}.json"
         assert run("eval", "--env-dir", str(env),
                    "--checkpoint", str(out / "checkpoint.json"),
                    "--trajectories", str(demos), "--out", str(res)) == 0
         results[algo] = json.loads(res.read_text())
+        # train reports the NLL that eval gives for its checkpoint
+        assert abs(train_nll - results[algo]["nll"]) < 1e-9
     for data in results.values():
         assert set(data) == {"nll", "evd", "n_eval_trajectories",
                             "config_fingerprint"}

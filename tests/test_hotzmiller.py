@@ -48,7 +48,7 @@ def unit_ccp(n_states, n_actions):
 
 def test_scalar_inverse_is_geometric_series():
     op = build_operator(scalar_model(0.9), unit_ccp(1, 1))
-    assert np.allclose(op.inverse_matrix, [[10.0]])
+    assert np.allclose(op.lu.solve(np.ones(1)), [10.0])
 
 
 def test_identical_transitions_collapse_to_shared_matrix():
@@ -75,7 +75,7 @@ def test_inverse_multiplies_back_to_identity():
     sigma /= sigma.sum(axis=1, keepdims=True)
     op = build_operator(model, CCPTable(sigma, np.zeros((6, 3), dtype=np.int64)))
     system = np.eye(6) - model.discount * op.policy_transition.toarray()
-    assert np.allclose(op.inverse_matrix @ system, np.eye(6), atol=1e-8)
+    assert np.allclose(op.lu.solve(np.eye(6)) @ system, np.eye(6), atol=1e-8)
 
 
 def test_inverse_row_sums_are_geometric():
@@ -86,7 +86,7 @@ def test_inverse_row_sums_are_geometric():
         sigma = rng.random((5, 2)) + 0.1
         sigma /= sigma.sum(axis=1, keepdims=True)
         op = build_operator(model, CCPTable(sigma, np.zeros((5, 2), dtype=np.int64)))
-        assert np.allclose(op.inverse_matrix.sum(axis=1), 1.0 / (1.0 - beta),
+        assert np.allclose(op.lu.solve(np.ones(5)), 1.0 / (1.0 - beta),
                            atol=1e-8)
 
 

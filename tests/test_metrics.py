@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ccpirl.envs import GridSpec, build_fixed_target, generate_experts
-from ccpirl.errors import EmptyData
+from ccpirl.errors import EmptyData, InvalidInput
 from ccpirl.metrics import (
     BENCH_CSV_HEADER,
     BenchCell,
@@ -72,6 +72,13 @@ def test_nll_floors_zero_probabilities():
 def test_nll_empty_raises():
     with pytest.raises(EmptyData):
         nll(uniform_policy(2, 2), [])
+
+
+@pytest.mark.parametrize("step", [(-1, 0), (2, 0), (0, -1), (0, 2)])
+def test_nll_rejects_out_of_range_steps(step):
+    trajs = [Trajectory([(0, 0)]), Trajectory([(1, 1), step])]
+    with pytest.raises(InvalidInput, match="trajectory 1"):
+        nll(uniform_policy(2, 2), trajs)
 
 
 def test_hard_vi_scalar_geometric():
