@@ -78,6 +78,7 @@ from .rewards import (
     broadcast_rewards,
     mlp_backward,
     mlp_forward,
+    reward_table,
 )
 from .softdp import (
     EULER_GAMMA,

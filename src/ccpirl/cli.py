@@ -27,7 +27,7 @@ from .metrics import BenchCell, BenchSuiteConfig, EvalResult, evd, nll, \
 from .model import check_trajectories, load_model, load_trajectories, \
     save_model, save_trajectories, validate_model
 from .rewards import Adam, GradientAscent, LinearReward, MlpReward, \
-    broadcast_rewards
+    reward_table
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
@@ -139,12 +139,25 @@ def cmd_gen_experts(args):
     model, true_reward = _load_env_dir(args.env_dir)
     if true_reward is None:
         raise CliError(f"no true_reward.json in {args.env_dir}")
-    traj_length = args.traj_length or 4 * int(math.isqrt(model.n_states))
+    traj_length = args.traj_length or _default_traj_length(args.env_dir)
     trajectories = envs.generate_experts(
         model, true_reward, args.n_trajectories, traj_length, seed,
         mode=args.mode, epsilon=args.epsilon)
     save_trajectories(args.out, trajectories)
     print(f"wrote {len(trajectories)} trajectories to {args.out}")
+
+
+def _default_traj_length(env_dir):
+    """envs.default_traj_length of the environment gen-env recorded in
+    env_dir's config.json."""
+    path = os.path.join(env_dir, "config.json")
+    try:
+        with open(path) as fh:
+            config = json.load(fh)
+        return envs.default_traj_length(config["env"], int(config["n"]))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise CliError(f"cannot read the environment kind and size from "
+                       f"{path} ({exc}); pass --traj-length")
 
 
 def cmd_estimate_ccp(args):
@@ -238,8 +251,7 @@ def cmd_eval(args):
     if not os.path.exists(args.checkpoint):
         raise CliError(f"missing checkpoint {args.checkpoint}")
     reward, _, _, _ = load_checkpoint(args.checkpoint)
-    table = broadcast_rewards(reward.state_rewards(model.features),
-                              model.n_actions)
+    table = reward_table(model, reward)
     try:
         policy = _soft_optimal_policy(model, table)
         result = EvalResult(

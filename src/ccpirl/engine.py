@@ -20,15 +20,17 @@ from .hotzmiller import build_operator, exante_value
 from .metrics import nll
 from .model import SoftPolicy, check_trajectories
 from .rewards import Adam, GradientAscent, LinearReward, MlpReward, \
-    broadcast_rewards, mlp_backward
+    mlp_backward, reward_table
 from .softdp import choice_values, policy_from_values, solve_soft_vi
 
 
 @dataclass(frozen=True)
 class VisitationResult:
-    """Per-step state occupancies D^(0..n) and their sum."""
+    """State occupancies: ``per_step`` is the (horizon+1, |X|) array whose
+    row i is D^(i) (iterating it yields one layer per step), ``total`` their
+    sum over steps."""
 
-    per_step: list
+    per_step: np.ndarray
     total: np.ndarray
     horizon: int
 
@@ -40,18 +42,16 @@ def forward_pass(model, policy, horizon):
     sitting on goal states is zeroed (arrivals still count in the layer they
     happen), then D^(i)(y) = sum_{x,a} T(y|x,a) pi(a|x) D^(i-1)(x). The
     one-step operator is the transpose of the policy-weighted transition
-    matrix with goal rows dropped, built once per call.
+    matrix with goal rows zeroed (``TransitionModel.push_forward``).
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     probs = policy.probs if isinstance(policy, SoftPolicy) else np.asarray(policy)
     weights = np.array(probs, dtype=float)
     weights[sorted(model.goal_states)] = 0.0
-    step = model.transitions.weighted(weights).T
-    layers = [model.initial_dist.copy()]
-    for _ in range(horizon):
-        layers.append(step @ layers[-1])
-    return VisitationResult(per_step=layers, total=np.sum(layers, axis=0),
+    layers = model.transitions.push_forward(weights, model.initial_dist,
+                                            horizon)
+    return VisitationResult(per_step=layers, total=layers.sum(axis=0),
                             horizon=horizon)
 
 
@@ -133,11 +133,6 @@ def _gradient(reward_param, model, mu_demo, visit_demo, vis):
     return grads
 
 
-def _reward_table(reward_param, model):
-    return broadcast_rewards(reward_param.state_rewards(model.features),
-                             model.n_actions)
-
-
 def _train(algorithm, values, model, trajectories, reward_param, optimizer,
            iterations, horizon, start_iteration, setup_seconds=0.0):
     """The loop both trainers run. ``values(rewards)`` returns the ex-ante
@@ -153,7 +148,7 @@ def _train(algorithm, values, model, trajectories, reward_param, optimizer,
     policy = None
     if iterations == 0:
         # no-op training: evaluate the starting point once
-        rewards = _reward_table(reward_param, model)
+        rewards = reward_table(model, reward_param)
         policy = policy_from_values(choice_values(model, rewards,
                                                   values(rewards)))
         records.append(IterationRecord(start_iteration,
@@ -161,7 +156,7 @@ def _train(algorithm, values, model, trajectories, reward_param, optimizer,
                                        float("nan"), 0.0, 0.0, 0.0))
     for it in range(start_iteration, start_iteration + iterations):
         t0 = time.perf_counter()
-        rewards = _reward_table(reward_param, model)
+        rewards = reward_table(model, reward_param)
         t_dp = time.perf_counter()
         vbar = values(rewards)
         dp_seconds = time.perf_counter() - t_dp
@@ -178,7 +173,7 @@ def _train(algorithm, values, model, trajectories, reward_param, optimizer,
     return TrainReport(
         algorithm=algorithm,
         records=records,
-        final_rewards=_reward_table(reward_param, model),
+        final_rewards=reward_table(model, reward_param),
         final_policy=policy,
         setup_seconds=setup_seconds,
         horizon=horizon,

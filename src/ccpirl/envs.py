@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import DdcModel, FeatureMatrix, Trajectory, TransitionModel
-from .rewards import broadcast_rewards
+from .rewards import reward_table
 from .softdp import SoftDpConfig, choice_values, policy_from_values, solve_soft_vi
 
 # (drow, dcol) for N, S, E, W
@@ -285,7 +285,7 @@ def generate_experts(model, true_reward, n_trajectories, traj_length, seed,
     state has been recorded, or at traj_length steps. Per-trajectory RNG
     streams are spawned from the seed, so sampling shards deterministically.
     """
-    rewards = broadcast_rewards(true_reward.values, model.n_actions)
+    rewards = reward_table(model, true_reward)
     if mode == "soft":
         vbar, _ = solve_soft_vi(model, rewards, dp_config or SoftDpConfig())
         policy = policy_from_values(choice_values(model, rewards, vbar)).probs

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import EmptyData, MaxSweepsExceeded
 from .hotzmiller import factorize
 from .model import SoftPolicy, check_trajectories, trajectories_to_json
-from .rewards import broadcast_rewards
+from .rewards import reward_table
 
 BENCH_CSV_HEADER = (
     "algorithm,env,n_states,n_actions,beta,iterations,trajectories,"
@@ -47,13 +47,6 @@ def uniform_policy(n_states, n_actions):
     return SoftPolicy(np.full((n_states, n_actions), 1.0 / n_actions))
 
 
-def _reward_table(model, rewards):
-    r = np.asarray(getattr(rewards, "values", rewards), dtype=float)
-    if r.ndim == 1:
-        r = broadcast_rewards(r, model.n_actions)
-    return r
-
-
 def hard_value_iteration(model, rewards, tolerance=1e-8, max_sweeps=100000):
     """Standard max-Bellman fixed point; no shocks, no entropy term.
 
@@ -61,7 +54,7 @@ def hard_value_iteration(model, rewards, tolerance=1e-8, max_sweeps=100000):
     encoded as a one-hot row-stochastic matrix).
     """
     # column-major like next_values, so that q is too (see next_values)
-    r = np.asfortranarray(_reward_table(model, rewards))
+    r = np.asfortranarray(reward_table(model, rewards))
     beta = model.discount
     next_values = model.transitions.next_values
     v = np.zeros(model.n_states)
@@ -83,7 +76,7 @@ def hard_value_iteration(model, rewards, tolerance=1e-8, max_sweeps=100000):
 
 def policy_evaluation(model, rewards, policy):
     """Exact value of a fixed policy: solve (I - beta*T_pi) V = R_pi."""
-    r = _reward_table(model, rewards)
+    r = reward_table(model, rewards)
     probs = policy.probs if isinstance(policy, SoftPolicy) else np.asarray(policy)
     r_pi = np.sum(probs * r, axis=1)
     t_pi = model.transitions.weighted(probs)

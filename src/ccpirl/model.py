@@ -6,11 +6,16 @@ All containers are treated as immutable after construction: arrays are
 flagged read-only so they can be shared across threads safely.
 """
 
+import functools
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse
+# scipy's compiled y += A x on raw CSR arrays, the kernel behind csr @ x.
+# It is private API but its signature has been stable across releases; a
+# test pins it bitwise to csr @ x, so a change in scipy fails loudly.
+from scipy.sparse._sparsetools import csr_matvec
 
 from .errors import InvalidInput
 
@@ -23,6 +28,12 @@ def _frozen(a, dtype=float):
     return out
 
 
+def _matvec_add(indptr, indices, data, x, out):
+    """out += A x for the CSR arrays of A, without scipy.sparse's per-call
+    dispatch; out must be a contiguous float array that does not alias x."""
+    csr_matvec(len(indptr) - 1, len(x), indptr, indices, data, x, out)
+
+
 @dataclass(frozen=True, eq=False)
 class TransitionModel:
     """Row-stochastic transitions T(x' | x, a) for every action.
@@ -31,7 +42,10 @@ class TransitionModel:
     (|A|*|X|, |X|) whose row a*|X| + x is T(. | x, a), that is, the T(a)
     stacked on top of each other; grid dynamics have at most five non-zeros
     per row, so every product below costs O(nnz) rather than O(|X|^2).
-    Dense or sparse per-action input is converted here.
+    Dense or sparse per-action input is converted here. The sweep loops
+    (``next_values``, ``push_forward``) call scipy's compiled CSR mat-vec
+    directly, since at these sizes scipy.sparse's dispatch costs more than
+    the arithmetic.
     """
 
     csr: scipy.sparse.csr_matrix
@@ -48,7 +62,7 @@ class TransitionModel:
             raise ValueError("transition matrices must all be |X| x |X|")
         stacked = scipy.sparse.vstack(blocks, format="csr")
         stacked.eliminate_zeros()
-        stacked.sort_indices()
+        stacked.sum_duplicates()
         for arr in (stacked.data, stacked.indices, stacked.indptr):
             arr.setflags(write=False)
         object.__setattr__(self, "csr", stacked)
@@ -85,7 +99,13 @@ class TransitionModel:
         in soft and hard VI then run over contiguous memory, several times
         faster than over rows of length |A|.
         """
-        return (self.csr @ v).reshape(self.n_actions, self.n_states).T
+        v = np.asarray(v, dtype=float)
+        if v.shape != (self.n_states,):
+            raise ValueError(f"value vector has shape {v.shape}, "
+                             f"expected ({self.n_states},)")
+        out = np.zeros(self.n_actions * self.n_states)
+        _matvec_add(self.csr.indptr, self.csr.indices, self.csr.data, v, out)
+        return out.reshape(self.n_actions, self.n_states).T
 
     def weighted(self, weights):
         """Sparse F = sum_a diag(weights[:, a]) T(a), for (|X|, |A|) weights
@@ -97,6 +117,52 @@ class TransitionModel:
             (np.ravel(weights).astype(float), cols,
              np.arange(0, n * k + 1, k)), shape=(n, n * k))
         return selector @ self.csr
+
+    @functools.cached_property
+    def _forward_pattern(self):
+        """F^T = sum_a T(a)^T diag(w_a) on the union pattern of the T(a)^T,
+        for any weights w: CSR (indptr, indices) of that pattern, whose
+        column x of entry (y, x) is also the state it reads weights from,
+        and one row per action of T(y | x, a) aligned with the entries, 0
+        where T(a) has no such entry. Built on first use, since it costs
+        more than the rest of construction and only the forward pass
+        needs it.
+        """
+        n, csr = self.n_states, self.csr
+        rows = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
+        actions, states = np.divmod(rows, n)
+        keys, where = np.unique(csr.indices.astype(np.int64) * n + states,
+                                return_inverse=True)
+        values = np.zeros((self.n_actions, keys.size))
+        values[actions, where] = csr.data
+        targets, sources = np.divmod(keys, n)
+        indptr = np.zeros(n + 1, dtype=csr.indptr.dtype)
+        np.cumsum(np.bincount(targets, minlength=n), out=indptr[1:])
+        return indptr, sources.astype(csr.indices.dtype), values
+
+    def push_forward(self, weights, start, steps):
+        """(steps+1, |X|) array of occupancies d_0 = start and
+        d_{i+1} = F^T d_i, with F = weighted(weights).
+
+        F^T's values are gathered onto a pattern fixed per model, actions
+        added in ascending order and w*T multiplied as ``weighted``'s
+        sparse product does, so every entry is bitwise equal to
+        ``weighted(weights).T``'s; entries that product drops as zero stay
+        explicit here and add an exact 0 to each sum.
+        """
+        weights = np.asarray(weights, dtype=float)
+        if weights.shape != (self.n_states, self.n_actions):
+            raise ValueError(f"weights have shape {weights.shape}, expected "
+                             f"({self.n_states}, {self.n_actions})")
+        indptr, indices, values = self._forward_pattern
+        data = weights[indices, 0] * values[0]
+        for a in range(1, self.n_actions):
+            data += weights[indices, a] * values[a]
+        layers = np.zeros((steps + 1, self.n_states))
+        layers[0] = start
+        for i in range(steps):
+            _matvec_add(indptr, indices, data, layers[i], layers[i + 1])
+        return layers
 
     def row(self, x, a):
         """(next states, probabilities) of T(. | x, a), columns ascending."""

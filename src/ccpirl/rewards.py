@@ -97,6 +97,17 @@ def broadcast_rewards(state_rewards, n_actions):
     return np.repeat(np.asarray(state_rewards, dtype=float)[:, None], n_actions, axis=1)
 
 
+def reward_table(model, rewards):
+    """The (|X|, |A|) reward table the solvers consume, from a reward
+    parameterization (evaluated on the model's features), a per-state
+    reward (a vector, or an object holding one in ``values`` such as
+    ``envs.TrueReward``) or a table, which is returned as given."""
+    if isinstance(rewards, (LinearReward, MlpReward)):
+        rewards = rewards.state_rewards(model.features)
+    r = np.asarray(getattr(rewards, "values", rewards), dtype=float)
+    return broadcast_rewards(r, model.n_actions) if r.ndim == 1 else r
+
+
 @dataclass
 class AdamState:
     step_size: float = 1e-3

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ccpirl.cli import main
+from ccpirl.envs import default_traj_length
 from ccpirl.model import load_model, load_trajectories, validate_model
 
 
@@ -91,6 +92,19 @@ def test_gen_experts_seed_changes_checksum(tmp_path):
     b = gen_experts(tmp_path, env, name="b.json", seed=2)
     assert hashlib.sha256(a.read_bytes()).digest() \
         != hashlib.sha256(b.read_bytes()).digest()
+
+
+def test_gen_experts_default_length_follows_env_kind(tmp_path, capsys):
+    # a macro grid has no goal, so every demo runs the full default length
+    env = gen_env(tmp_path, env="macro", n=4, macro_size=2)
+    trajs = load_trajectories(gen_experts(tmp_path, env))
+    assert {len(t) for t in trajs} == {default_traj_length("macro", 4)}
+    # without the config gen-env wrote, the length must be given
+    (env / "config.json").unlink()
+    assert run("gen-experts", "--env-dir", str(env), "--n-trajectories",
+               "2", "--seed", "1", "--out", str(tmp_path / "x.json")) == 2
+    assert "--traj-length" in capsys.readouterr().err
+    gen_experts(tmp_path, env, name="y.json", traj_length=5)
 
 
 def test_estimate_ccp_output(tmp_path):
