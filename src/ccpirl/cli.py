@@ -18,16 +18,15 @@ import sys
 
 import numpy as np
 
-from . import envs, softdp
+from . import envs
 from .ccp import SmoothingConfig, estimate_ccp, save_ccp
 from .engine import load_checkpoint, save_checkpoint, train_ccp, train_maxent
 from .errors import CcpIrlError, InvalidInput
 from .metrics import BenchCell, BenchSuiteConfig, EvalResult, evd, nll, \
-    run_benchmark
+    run_benchmark, soft_optimal_policy
 from .model import check_trajectories, load_model, load_trajectories, \
     save_model, save_trajectories, validate_model
-from .rewards import Adam, GradientAscent, LinearReward, MlpReward, \
-    reward_table
+from .rewards import initial_reward, reward_table
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
@@ -97,21 +96,11 @@ def cmd_gen_env(args):
     seed = _resolve_seed(args)
     os.makedirs(args.out, exist_ok=True)
     try:
-        if args.env == "fixed":
-            spec = envs.GridSpec(n=args.n, wind=args.wind,
-                                 obstacle_density=args.obstacle_density,
-                                 seed=seed)
-            model, true_reward = envs.build_fixed_target(spec, discount=args.beta)
-        elif args.env == "macro":
-            spec = envs.GridSpec(n=args.n, wind=args.wind,
-                                 macro_size=args.macro_size, seed=seed)
-            model, true_reward = envs.build_macro_cell(spec, discount=args.beta)
-        elif args.env == "objectworld":
-            spec = envs.ObjectworldSpec(n=args.n, n_colors=args.n_colors,
-                                        n_objects=args.n_objects, seed=seed)
-            model, true_reward = envs.build_objectworld(spec, discount=args.beta)
-        else:
-            raise CliError(f"unknown environment {args.env!r}")
+        model, true_reward = envs.build(
+            args.env, args.n, discount=args.beta, seed=seed, wind=args.wind,
+            obstacle_density=args.obstacle_density,
+            macro_size=args.macro_size, n_colors=args.n_colors,
+            n_objects=args.n_objects)
     except ValueError as exc:
         raise CliError(f"invalid environment spec: {exc}")
     problems = validate_model(model)
@@ -190,13 +179,13 @@ def cmd_train(args):
     start_iteration = 0
     if args.resume:
         reward, optimizer, start_iteration, _ = load_checkpoint(args.resume)
-    elif args.reward == "linear":
-        reward = LinearReward(np.zeros(model.features.feature_dim))
-        optimizer = GradientAscent(step_size=args.lr if args.lr else 0.1)
     else:
-        reward = MlpReward.init(model.features.feature_dim,
-                                hidden_width=args.hidden, seed=seed)
-        optimizer = Adam(step_size=args.lr if args.lr else 1e-3)
+        try:
+            reward, optimizer = initial_reward(
+                args.reward, model.features.feature_dim, args.lr,
+                args.hidden, seed)
+        except ValueError as exc:
+            raise CliError(f"invalid value for --reward: {exc}")
 
     try:
         if args.algo == "maxent":
@@ -209,7 +198,7 @@ def cmd_train(args):
                                args.iterations, horizon=args.horizon,
                                smoothing=smoothing,
                                start_iteration=start_iteration)
-        final_nll = nll(_soft_optimal_policy(model, report.final_rewards),
+        final_nll = nll(soft_optimal_policy(model, report.final_rewards),
                         trajectories)
     except CcpIrlError as exc:
         raise CliError(f"training failed: {exc}", code=EXIT_NUMERIC)
@@ -230,13 +219,6 @@ def cmd_train(args):
           f"final nll {final_nll:.12g}")
 
 
-def _soft_optimal_policy(model, rewards):
-    """The policy a learned reward is scored by: soft VI on the reward, then
-    the softmax of its choice values."""
-    _, policy, _ = softdp.solve_policy(model, rewards)
-    return policy
-
-
 def _write_reward_grid(path, state_rewards):
     n = math.isqrt(len(state_rewards))
     grid = state_rewards.reshape(n, n) if n * n == len(state_rewards) \
@@ -253,7 +235,7 @@ def cmd_eval(args):
     reward, _, _, _ = load_checkpoint(args.checkpoint)
     table = reward_table(model, reward)
     try:
-        policy = _soft_optimal_policy(model, table)
+        policy = soft_optimal_policy(model, table)
         result = EvalResult(
             nll=nll(policy, trajectories),
             evd=evd(model, true_reward, policy) if true_reward else float("nan"),

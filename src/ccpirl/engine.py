@@ -82,7 +82,6 @@ class IterationRecord:
     grad_norm: float
     dp_seconds: float
     total_seconds: float
-    cumulative_seconds: float
 
 
 @dataclass
@@ -92,7 +91,6 @@ class TrainReport:
     final_rewards: np.ndarray  # (|X|, |A|)
     final_policy: SoftPolicy
     setup_seconds: float
-    horizon: int
 
     @property
     def total_seconds(self):
@@ -144,7 +142,6 @@ def _train(algorithm, values, model, trajectories, reward_param, optimizer,
     visit_demo = demo_state_visits(trajectories, model.n_states)
 
     records = []
-    cumulative = 0.0
     policy = None
     if iterations == 0:
         # no-op training: evaluate the starting point once
@@ -153,7 +150,7 @@ def _train(algorithm, values, model, trajectories, reward_param, optimizer,
                                                   values(rewards)))
         records.append(IterationRecord(start_iteration,
                                        nll(policy, trajectories),
-                                       float("nan"), 0.0, 0.0, 0.0))
+                                       float("nan"), 0.0, 0.0))
     for it in range(start_iteration, start_iteration + iterations):
         t0 = time.perf_counter()
         rewards = reward_table(model, reward_param)
@@ -166,17 +163,15 @@ def _train(algorithm, values, model, trajectories, reward_param, optimizer,
         grads = _gradient(reward_param, model, mu_demo, visit_demo, vis)
         reward_param.set_params(optimizer.step(reward_param.param_dict(), grads))
         total = time.perf_counter() - t0
-        cumulative += total
         grad_norm = max(float(np.max(np.abs(g))) for g in grads.values())
         records.append(IterationRecord(it, demo_nll, grad_norm, dp_seconds,
-                                       total, cumulative))
+                                       total))
     return TrainReport(
         algorithm=algorithm,
         records=records,
         final_rewards=reward_table(model, reward_param),
         final_policy=policy,
         setup_seconds=setup_seconds,
-        horizon=horizon,
     )
 
 

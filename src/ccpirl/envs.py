@@ -15,7 +15,7 @@ import numpy as np
 
 from .model import DdcModel, FeatureMatrix, Trajectory, TransitionModel
 from .rewards import reward_table
-from .softdp import SoftDpConfig, choice_values, policy_from_values, solve_soft_vi
+from .softdp import choice_values, policy_from_values, solve_soft_vi
 
 # (drow, dcol) for N, S, E, W
 MOVES = ((-1, 0), (1, 0), (0, 1), (0, -1))
@@ -267,6 +267,29 @@ def build_objectworld(spec, discount=0.9):
     return model, true_reward
 
 
+def build(kind, n, discount=0.9, seed=0, wind=0.3, obstacle_density=0.1,
+          macro_size=2, n_colors=2, n_objects=None):
+    """An environment of one kind: "fixed", "macro" or "objectworld".
+
+    Returns (model, true_reward). Each kind reads only its own options:
+    wind and obstacle density for the fixed-target grid, wind and macro size
+    for the macro-cell grid, colors and objects for the object grid. Raises
+    ValueError for an unknown kind or an invalid spec.
+    """
+    if kind == "fixed":
+        spec = GridSpec(n=n, wind=wind, obstacle_density=obstacle_density,
+                        seed=seed)
+        return build_fixed_target(spec, discount=discount)
+    if kind == "macro":
+        spec = GridSpec(n=n, wind=wind, macro_size=macro_size, seed=seed)
+        return build_macro_cell(spec, discount=discount)
+    if kind == "objectworld":
+        spec = ObjectworldSpec(n=n, n_colors=n_colors, n_objects=n_objects,
+                               seed=seed)
+        return build_objectworld(spec, discount=discount)
+    raise ValueError(f"unknown environment kind {kind!r}")
+
+
 def default_traj_length(kind, n):
     """Episode lengths: goal-terminated grids get a generous cap, the
     fixed-horizon environments scale with the grid side."""
@@ -276,7 +299,7 @@ def default_traj_length(kind, n):
 
 
 def generate_experts(model, true_reward, n_trajectories, traj_length, seed,
-                     mode="soft", epsilon=0.1, dp_config=None):
+                     mode="soft", epsilon=0.1):
     """Sample demonstrations from the soft-optimal policy of the true reward.
 
     mode "soft" (default) samples the soft-DP policy directly; mode
@@ -287,7 +310,7 @@ def generate_experts(model, true_reward, n_trajectories, traj_length, seed,
     """
     rewards = reward_table(model, true_reward)
     if mode == "soft":
-        vbar, _ = solve_soft_vi(model, rewards, dp_config or SoftDpConfig())
+        vbar, _ = solve_soft_vi(model, rewards)
         policy = policy_from_values(choice_values(model, rewards, vbar)).probs
     elif mode == "hard-eps":
         from .metrics import hard_value_iteration

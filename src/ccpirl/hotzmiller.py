@@ -8,10 +8,10 @@ With sigma the choice probabilities, the value fixed point is linear:
 
 The inverse depends only on sigma, beta, and T, so it is built once and
 reused for every reward evaluation. F is sparse (it has the non-zeros of
-the transitions). Direct mode, the default, factorizes (I - beta*F) once
-with a sparse LU and back-substitutes per reward; iterative mode stores F
-and solves v = b + beta*F*v by successive approximation, and is kept as
-the reference the direct mode is tested against.
+the transitions). The operator factorizes (I - beta*F) once with a sparse
+LU and back-substitutes per reward. Solving v = b + beta*F*v by successive
+approximation (``iterative_inverse_apply``) is kept as the reference the
+factorized solve is tested against.
 """
 
 from dataclasses import dataclass
@@ -31,14 +31,11 @@ ITERATIVE_MAX_SWEEPS = 1_000_000
 
 @dataclass
 class HotzMillerOperator:
-    mode: str  # "direct" or "iterative"
     beta: float
     ccp: object
     policy_transition: scipy.sparse.csr_matrix  # F, row-stochastic
     shock_correction: np.ndarray  # (|X|, |A|)
-    lu: scipy.sparse.linalg.SuperLU = None  # direct mode
-    tolerance: float = ITERATIVE_TOLERANCE
-    max_sweeps: int = ITERATIVE_MAX_SWEEPS
+    lu: scipy.sparse.linalg.SuperLU  # of I - beta*F
 
 
 def factorize(F, beta):
@@ -54,25 +51,19 @@ def factorize(F, beta):
         raise SingularMatrix(f"factorization of I - beta*F failed: {exc}") from exc
 
 
-def build_operator(model, ccp, mode="direct"):
-    """Assemble the sparse F and, in direct mode, its one-time
-    factorization."""
-    if mode not in ("direct", "iterative"):
-        raise ValueError(f"unknown mode {mode!r}")
+def build_operator(model, ccp):
+    """Assemble the sparse F and its one-time factorization."""
     counters.operator_builds += 1
-
     F = model.transitions.weighted(ccp.probs)
-    op = HotzMillerOperator(
-        mode=mode,
+    shock_correction = expected_shock(ccp)
+    counters.factorizations += 1
+    return HotzMillerOperator(
         beta=model.discount,
         ccp=ccp,
         policy_transition=F,
-        shock_correction=expected_shock(ccp),
+        shock_correction=shock_correction,
+        lu=factorize(F, model.discount),
     )
-    if mode == "direct":
-        counters.factorizations += 1
-        op.lu = factorize(F, model.discount)
-    return op
 
 
 def weighted_flow_reward(op, rewards):
@@ -84,14 +75,7 @@ def weighted_flow_reward(op, rewards):
 def exante_value(op, rewards):
     """Evaluate Vbar for a reward table without any dynamic programming."""
     counters.exante_evals += 1
-    b = weighted_flow_reward(op, rewards)
-    if op.mode == "direct":
-        v = op.lu.solve(b)
-    else:
-        v = iterative_inverse_apply(
-            op.policy_transition, op.beta, b, op.tolerance, op.max_sweeps
-        )
-    return ExAnteValue(v)
+    return ExAnteValue(op.lu.solve(weighted_flow_reward(op, rewards)))
 
 
 def iterative_inverse_apply(F, beta, b, tolerance=ITERATIVE_TOLERANCE,

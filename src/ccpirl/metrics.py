@@ -7,16 +7,17 @@ benchmark harness times the two trainers on identical demonstrations and
 reports paired speedups as CSV.
 """
 
-import hashlib
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import envs
 from .errors import EmptyData, MaxSweepsExceeded
 from .hotzmiller import factorize
-from .model import SoftPolicy, check_trajectories, trajectories_to_json
-from .rewards import reward_table
+from .model import SoftPolicy, check_trajectories
+from .rewards import initial_reward, reward_table
+from .softdp import solve_policy
 
 BENCH_CSV_HEADER = (
     "algorithm,env,n_states,n_actions,beta,iterations,trajectories,"
@@ -41,6 +42,13 @@ def nll(policy, trajectories):
     chosen = probs[steps[:, 0], steps[:, 1]]
     return -np.log(np.maximum(chosen, np.finfo(float).tiny)).sum() \
         / len(trajectories)
+
+
+def soft_optimal_policy(model, rewards):
+    """The policy a learned reward is scored by: soft VI on the reward, then
+    the softmax of its choice values."""
+    _, policy, _ = solve_policy(model, rewards)
+    return policy
 
 
 def uniform_policy(n_states, n_actions):
@@ -120,14 +128,10 @@ class BenchCell:
     beta: float = 0.9
     iterations: int = 50
     n_trajectories: int = 64
-    traj_length: int = None
     seed: int = 0
-    wind: float = 0.3
     macro_size: int = 2
     n_colors: int = 2
     reward_model: str = "linear"  # "linear" or "mlp"
-    learning_rate: float = None
-    hidden_width: int = 32
 
 
 @dataclass
@@ -136,7 +140,6 @@ class BenchSuiteConfig:
     cells: list
     repeats: int = 3
     warmup: bool = True
-    algorithms: tuple = ("maxent", "ccp")
 
 
 @dataclass
@@ -155,113 +158,68 @@ class BenchRecord:
     seed: int
     repeat: int
     speedup: float = float("nan")
-    demo_fingerprint: str = ""
     error: str = ""
-
-
-def _build_cell_env(cell):
-    from . import envs  # local import keeps module import graph acyclic
-
-    if cell.env == "fixed":
-        spec = envs.GridSpec(n=cell.n, wind=cell.wind, seed=cell.seed)
-        model, true_reward = envs.build_fixed_target(spec, discount=cell.beta)
-    elif cell.env == "macro":
-        spec = envs.GridSpec(n=cell.n, wind=cell.wind, seed=cell.seed,
-                             macro_size=cell.macro_size)
-        model, true_reward = envs.build_macro_cell(spec, discount=cell.beta)
-    elif cell.env == "objectworld":
-        spec = envs.ObjectworldSpec(n=cell.n, n_colors=cell.n_colors,
-                                    seed=cell.seed)
-        model, true_reward = envs.build_objectworld(spec, discount=cell.beta)
-    else:
-        raise ValueError(f"unknown environment kind {cell.env!r}")
-    return model, true_reward
-
-
-def _make_reward_and_optimizer(cell, model):
-    from .rewards import Adam, GradientAscent, LinearReward, MlpReward
-
-    if cell.reward_model == "linear":
-        reward = LinearReward(np.zeros(model.features.feature_dim))
-        optimizer = GradientAscent(step_size=cell.learning_rate or 0.1)
-    else:
-        reward = MlpReward.init(model.features.feature_dim,
-                                hidden_width=cell.hidden_width, seed=cell.seed)
-        optimizer = Adam(step_size=cell.learning_rate or 1e-3)
-    return reward, optimizer
 
 
 def _run_one(cell, model, trajectories, algorithm):
     from .engine import train_ccp, train_maxent
 
-    reward, optimizer = _make_reward_and_optimizer(cell, model)
-    if algorithm == "maxent":
-        return train_maxent(model, trajectories, reward, optimizer,
-                            cell.iterations)
-    return train_ccp(model, trajectories, reward, optimizer, cell.iterations)
+    reward, optimizer = initial_reward(cell.reward_model,
+                                       model.features.feature_dim,
+                                       seed=cell.seed)
+    trainer = train_maxent if algorithm == "maxent" else train_ccp
+    return trainer(model, trajectories, reward, optimizer, cell.iterations)
 
 
 def run_benchmark(suite, output_dir=None):
-    """Time every cell for both algorithms on byte-identical demonstrations.
+    """Time every cell for both algorithms on the same demonstrations.
 
     Cells run strictly sequentially. Per algorithm: one optional warm-up run
     (untimed), then `repeats` timed runs; the paired speedup uses the mean
-    of total times. Per-cell failures are recorded, not raised.
+    of total times. NLL and EVD are those of the soft-optimal policy of the
+    last run's learned reward, as ``ccpirl eval`` scores it. Per-cell
+    failures are recorded, not raised.
     """
-    from . import envs
-    from .model import load_trajectories, save_trajectories
-
     records = []
     for cell in suite.cells:
         try:
-            model, true_reward = _build_cell_env(cell)
-            traj_length = cell.traj_length or envs.default_traj_length(
-                cell.env, cell.n)
+            model, true_reward = envs.build(
+                cell.env, cell.n, discount=cell.beta, seed=cell.seed,
+                macro_size=cell.macro_size, n_colors=cell.n_colors)
             trajectories = envs.generate_experts(
-                model, true_reward, cell.n_trajectories, traj_length,
-                seed=cell.seed)
-            demo_bytes = json.dumps(trajectories_to_json(trajectories)).encode()
-            fingerprint = hashlib.sha256(demo_bytes).hexdigest()
+                model, true_reward, cell.n_trajectories,
+                envs.default_traj_length(cell.env, cell.n), seed=cell.seed)
             cell_records = {}
-            for algorithm in suite.algorithms:
+            for algorithm in ("maxent", "ccp"):
                 if suite.warmup:
                     _run_one(cell, model, trajectories, algorithm)
-                runs = []
-                for rep in range(suite.repeats):
-                    report = _run_one(cell, model, trajectories, algorithm)
-                    runs.append(report)
-                final_nll = nll(runs[-1].final_policy, trajectories)
-                final_evd = evd(model, true_reward, runs[-1].final_policy)
-                recs = []
-                for rep, report in enumerate(runs):
-                    recs.append(BenchRecord(
-                        algorithm=algorithm,
-                        env=f"{cell.env}-n{cell.n}",
-                        n_states=model.n_states,
-                        n_actions=model.n_actions,
-                        beta=cell.beta,
-                        iterations=cell.iterations,
-                        n_trajectories=cell.n_trajectories,
-                        setup_seconds=report.setup_seconds,
-                        total_seconds=report.total_seconds,
-                        nll=final_nll,
-                        evd=final_evd,
-                        seed=cell.seed,
-                        repeat=rep,
-                        demo_fingerprint=fingerprint,
-                    ))
-                cell_records[algorithm] = recs
-            if "maxent" in cell_records and "ccp" in cell_records:
-                mean_maxent = np.mean([r.total_seconds
-                                       for r in cell_records["maxent"]])
-                mean_ccp = np.mean([r.total_seconds
-                                    for r in cell_records["ccp"]])
-                speedup = mean_maxent / mean_ccp
-                for recs in cell_records.values():
-                    for r in recs:
-                        r.speedup = speedup
-            for algorithm in suite.algorithms:
-                records.extend(cell_records[algorithm])
+                runs = [_run_one(cell, model, trajectories, algorithm)
+                        for _ in range(suite.repeats)]
+                policy = soft_optimal_policy(model, runs[-1].final_rewards)
+                final_nll = nll(policy, trajectories)
+                final_evd = evd(model, true_reward, policy)
+                cell_records[algorithm] = [BenchRecord(
+                    algorithm=algorithm,
+                    env=f"{cell.env}-n{cell.n}",
+                    n_states=model.n_states,
+                    n_actions=model.n_actions,
+                    beta=cell.beta,
+                    iterations=cell.iterations,
+                    n_trajectories=cell.n_trajectories,
+                    setup_seconds=report.setup_seconds,
+                    total_seconds=report.total_seconds,
+                    nll=final_nll,
+                    evd=final_evd,
+                    seed=cell.seed,
+                    repeat=rep,
+                ) for rep, report in enumerate(runs)]
+            speedup = np.mean([r.total_seconds
+                               for r in cell_records["maxent"]]) \
+                / np.mean([r.total_seconds for r in cell_records["ccp"]])
+            for recs in cell_records.values():
+                for r in recs:
+                    r.speedup = speedup
+                records.extend(recs)
         except Exception as exc:  # record the failure, keep the suite going
             records.append(BenchRecord(
                 algorithm="-", env=f"{cell.env}-n{cell.n}", n_states=0,
@@ -296,7 +254,6 @@ def write_benchmark_csv(records, suite, output_dir):
         "name": suite.name,
         "repeats": suite.repeats,
         "warmup": suite.warmup,
-        "algorithms": list(suite.algorithms),
         "cells": [vars(c) for c in suite.cells],
         "speedups": sorted({
             (r.env, r.beta): r.speedup for r in records if not r.error

@@ -201,3 +201,15 @@ class Adam:
                            for k, v in data["second_moment"].items()},
             timestep=int(data["timestep"]),
         )
+
+
+def initial_reward(kind, feature_dim, lr=None, hidden_width=32, seed=0):
+    """A fresh reward of kind "linear" or "mlp" and the optimizer that
+    trains it: a zero linear reward with GradientAscent(lr or 0.1), or a
+    seeded MlpReward.init with Adam(lr or 1e-3)."""
+    if kind == "linear":
+        return LinearReward(np.zeros(feature_dim)), GradientAscent(lr or 0.1)
+    if kind == "mlp":
+        return (MlpReward.init(feature_dim, hidden_width=hidden_width,
+                               seed=seed), Adam(lr or 1e-3))
+    raise ValueError(f"unknown reward kind {kind!r}")

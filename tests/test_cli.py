@@ -226,6 +226,20 @@ def test_config_file_supplies_defaults(tmp_path):
     assert (tmp_path / "env2" / "model.json").exists()
 
 
+def test_train_rejects_unknown_reward_from_config(tmp_path, capsys):
+    # a config file's values skip the parser's choices, so train checks them
+    env = gen_env(tmp_path)
+    demos = gen_experts(tmp_path, env, n=4)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"reward": "banana"}))
+    code = run("train", "--config", str(cfg), "--env-dir", str(env),
+               "--trajectories", str(demos), "--algo", "ccp",
+               "--iterations", "1", "--seed", "0",
+               "--out", str(tmp_path / "train"))
+    assert code == 2
+    assert "banana" in capsys.readouterr().err
+
+
 def test_config_fingerprint_written(tmp_path):
     env = gen_env(tmp_path)
     config = json.loads((env / "config.json").read_text())

@@ -197,16 +197,11 @@ def test_modes_agree_on_model():
     sigma /= sigma.sum(axis=1, keepdims=True)
     table = CCPTable(sigma, np.zeros((12, 3), dtype=np.int64))
     r = rng.standard_normal((12, 3))
-    vd = exante_value(build_operator(model, table, mode="direct"), r).values
-    vi = exante_value(build_operator(model, table, mode="iterative"), r).values
+    op = build_operator(model, table)
+    vd = exante_value(op, r).values
+    vi = iterative_inverse_apply(op.policy_transition, op.beta,
+                                 weighted_flow_reward(op, r))
     assert np.max(np.abs(vd - vi)) < 1e-6
-
-
-def test_build_rejects_unknown_mode():
-    rng = np.random.default_rng(10)
-    model = random_model(rng)
-    with pytest.raises(ValueError):
-        build_operator(model, unit_ccp(5, 3), mode="banana")
 
 
 def test_factorization_paid_once():

@@ -205,6 +205,9 @@ def test_eval_result_json_schema():
 
 
 def test_benchmark_smoke_suite(tmp_path):
+    from ccpirl.engine import train_ccp, train_maxent
+    from ccpirl.rewards import GradientAscent, LinearReward
+
     suite = BenchSuiteConfig(
         "smoke",
         [BenchCell("fixed", 3, iterations=2, n_trajectories=6)],
@@ -214,8 +217,18 @@ def test_benchmark_smoke_suite(tmp_path):
     assert len(records) == 4  # 2 algorithms x 2 repeats
     assert all(not r.error for r in records)
     assert all(r.total_seconds > 0.0 for r in records)
-    fingerprints = {r.demo_fingerprint for r in records}
-    assert len(fingerprints) == 1  # paired cells share byte-identical demos
+    # each record scores the soft-optimal policy of the learned reward, as
+    # ``ccpirl eval`` does, not the policy of the trainer's last iteration
+    model, true_reward = build_fixed_target(GridSpec(n=3, seed=0))
+    demos = generate_experts(model, true_reward, 6, 12, seed=0)
+    for algorithm, trainer in (("maxent", train_maxent), ("ccp", train_ccp)):
+        report = trainer(model, demos, LinearReward(np.zeros(2)),
+                         GradientAscent(0.1), 2)
+        _, policy, _ = solve_policy(model, report.final_rewards)
+        for r in records:
+            if r.algorithm == algorithm:
+                assert abs(r.nll - nll(policy, demos)) < 1e-12
+                assert abs(r.evd - evd(model, true_reward, policy)) < 1e-12
     speedups = {r.speedup for r in records}
     assert len(speedups) == 1 and np.isfinite(speedups.pop())
 

@@ -15,7 +15,8 @@ from ccpirl.ccp import expected_shock
 from ccpirl.engine import forward_pass
 from ccpirl.envs import GridSpec, ObjectworldSpec, build_fixed_target, \
     build_objectworld, generate_experts
-from ccpirl.hotzmiller import build_operator, exante_value
+from ccpirl.hotzmiller import build_operator, exante_value, \
+    iterative_inverse_apply, weighted_flow_reward
 from ccpirl.metrics import policy_evaluation
 from ccpirl.model import CCPTable, trajectories_to_json
 
@@ -98,9 +99,14 @@ def test_hotz_miller_value_matches_dense(model, mode):
     b = np.sum(sigma * (r + expected_shock(table)), axis=1)
     system = np.eye(model.n_states) - model.discount * _dense_weighted(model, sigma)
     dense = np.linalg.solve(system, b)
-    # the iterative mode stops at a residual of 1e-8 (1 - beta)
+    # successive approximation stops at a residual of 1e-8 (1 - beta)
     tol = TOL if mode == "direct" else 1e-8
-    got = exante_value(build_operator(model, table, mode=mode), r).values
+    op = build_operator(model, table)
+    if mode == "direct":
+        got = exante_value(op, r).values
+    else:
+        got = iterative_inverse_apply(op.policy_transition, op.beta,
+                                      weighted_flow_reward(op, r))
     assert np.max(np.abs(got - dense)) < tol
 
 
