@@ -16,6 +16,8 @@ from ccpirl import (
     build_fixed_target,
     evd,
     generate_experts,
+    nll,
+    soft_optimal_policy,
     train_ccp,
     train_maxent,
     uniform_policy,
@@ -36,9 +38,9 @@ def main():
     for name, trainer in (("maxent", train_maxent), ("ccp", train_ccp)):
         reward = LinearReward(np.zeros(model.features.feature_dim))
         report = trainer(model, demos, reward, GradientAscent(3.0), 50)
-        score = evd(model, true_reward, report.final_policy)
-        print(f"{name:7s} EVD {score:.3f}  "
-              f"final NLL {report.records[-1].nll:.4f}  "
+        policy = soft_optimal_policy(model, report.final_rewards)
+        print(f"{name:7s} EVD {evd(model, true_reward, policy):.3f}  "
+              f"NLL {nll(policy, demos):.4f}  "
               f"wall time {report.total_seconds:.1f}s")
 
 

@@ -17,6 +17,8 @@ from ccpirl import (
     build_objectworld,
     evd,
     generate_experts,
+    nll,
+    soft_optimal_policy,
     train_ccp,
     uniform_policy,
 )
@@ -31,12 +33,13 @@ def main():
                             hidden_width=32, seed=0)
     report = train_ccp(model, demos, reward, Adam(1e-2), 150)
 
-    learned = evd(model, true_reward, report.final_policy)
+    policy = soft_optimal_policy(model, report.final_rewards)
+    learned = evd(model, true_reward, policy)
     uni = evd(model, true_reward,
               uniform_policy(model.n_states, model.n_actions))
     print(f"trained for {len(report.records)} iterations "
           f"in {report.total_seconds:.1f}s")
-    print(f"final NLL {report.records[-1].nll:.4f}")
+    print(f"NLL {nll(policy, demos):.4f}")
     print(f"EVD learned {learned:.3f} vs uniform {uni:.3f}")
 
     side = int(np.sqrt(model.n_states))

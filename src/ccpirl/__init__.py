@@ -50,6 +50,7 @@ from .metrics import (
     nll,
     policy_evaluation,
     run_benchmark,
+    soft_optimal_policy,
     uniform_policy,
 )
 from .model import (

@@ -171,6 +171,9 @@ def _load_trajs(path, model):
 
 def cmd_train(args):
     _require(args, "env_dir", "trajectories", "algo", "out")
+    if args.algo not in ("maxent", "ccp"):
+        raise CliError(f"invalid value for --algo: {args.algo!r} "
+                       "(choose maxent or ccp)")
     seed = _resolve_seed(args)
     model, _ = _load_env_dir(args.env_dir)
     trajectories = _load_trajs(args.trajectories, model)

@@ -304,38 +304,98 @@ def generate_experts(model, true_reward, n_trajectories, traj_length, seed,
 
     mode "soft" (default) samples the soft-DP policy directly; mode
     "hard-eps" follows the hard-optimal action with probability 1-epsilon
-    and a uniform action otherwise. Episodes stop once an absorbing goal
-    state has been recorded, or at traj_length steps. Per-trajectory RNG
-    streams are spawned from the seed, so sampling shards deterministically.
+    and a uniform action otherwise. See ``sample_trajectories`` for how
+    the walks are drawn.
     """
+    policy = expert_policy(model, true_reward, mode, epsilon)
+    return sample_trajectories(model, policy, n_trajectories, traj_length,
+                               seed)
+
+
+def expert_policy(model, true_reward, mode="soft", epsilon=0.1):
+    """(|X|, |A|) choice probabilities of the expert ``generate_experts``
+    samples."""
     rewards = reward_table(model, true_reward)
     if mode == "soft":
         vbar, _ = solve_soft_vi(model, rewards)
-        policy = policy_from_values(choice_values(model, rewards, vbar)).probs
-    elif mode == "hard-eps":
+        return policy_from_values(choice_values(model, rewards, vbar)).probs
+    if mode == "hard-eps":
         from .metrics import hard_value_iteration
 
         _, greedy = hard_value_iteration(model, rewards)
-        policy = (1.0 - epsilon) * greedy.probs \
-            + epsilon / model.n_actions
-    else:
-        raise ValueError(f"unknown expert mode {mode!r}")
+        return (1.0 - epsilon) * greedy.probs + epsilon / model.n_actions
+    raise ValueError(f"unknown expert mode {mode!r}")
 
-    streams = np.random.SeedSequence(seed).spawn(n_trajectories)
-    trajectories = []
-    for stream in streams:
-        rng = np.random.default_rng(stream)
-        x = rng.choice(model.n_states, p=model.initial_dist)
-        steps = []
-        for _ in range(traj_length):
-            a = rng.choice(model.n_actions, p=policy[x])
-            steps.append((x, a))
-            if x in model.goal_states:
+
+_SUM_ATOL = np.sqrt(np.finfo(float).eps)
+
+
+def _check_distributions(name, probs, sums):
+    """Raise ValueError unless every row is non-negative and its sum lies
+    within sqrt(eps) of 1, the checks ``Generator.choice(p=)`` makes."""
+    if not np.all(probs >= 0.0):
+        raise ValueError(f"{name} probabilities are not non-negative")
+    if not np.all(np.abs(sums - 1.0) <= _SUM_ATOL):
+        raise ValueError(f"{name} probabilities do not sum to 1")
+
+
+def sample_trajectories(model, policy, n_trajectories, traj_length, seed):
+    """Walk n_trajectories episodes of ``policy`` from the initial
+    distribution. Each stops once an absorbing goal state has been
+    recorded, or at traj_length steps.
+
+    Trajectory i draws from the i-th RNG stream spawned from the seed, so
+    sampling shards deterministically, and its walk is exactly the one that
+    successive ``rng.choice(p=)`` calls would draw (start state, then an
+    action and a next state per step): each call consumes one uniform u
+    and returns the count of entries <= u in the CDF ``p.cumsum() /
+    p.sum()``. Here each stream's uniforms are drawn up front, the CDFs are
+    tables built once, and all walks advance together one step at a time.
+    """
+    if traj_length < 1:
+        raise ValueError("trajectory must contain at least one step")
+    policy = np.asarray(policy, dtype=float)
+    if policy.shape != (model.n_states, model.n_actions):
+        raise ValueError(f"policy has shape {policy.shape}, expected "
+                         f"({model.n_states}, {model.n_actions})")
+    trans = model.transitions
+    _check_distributions("initial state", model.initial_dist,
+                         model.initial_dist.sum())
+    _check_distributions("policy", policy, policy.sum(axis=1))
+    _check_distributions("transition", trans.csr.data,
+                         np.asarray(trans.csr.sum(axis=1)).ravel())
+    start_cdf = model.initial_dist.cumsum()
+    start_cdf /= start_cdf[-1]
+    policy_cdf = policy.cumsum(axis=1)
+    policy_cdf /= policy_cdf[:, -1:]
+    next_states, next_cdf = trans.next_state_cdfs
+    is_goal = np.zeros(model.n_states, dtype=bool)
+    is_goal[list(model.goal_states)] = True
+
+    uniforms = np.empty((n_trajectories, 1 + 2 * traj_length))
+    for stream, row in zip(np.random.SeedSequence(seed).spawn(n_trajectories),
+                           uniforms):
+        np.random.default_rng(stream).random(out=row)
+    states = np.empty((n_trajectories, traj_length), dtype=np.int64)
+    actions = np.empty_like(states)
+    lengths = np.full(n_trajectories, traj_length)
+    live = np.arange(n_trajectories)
+    x = start_cdf.searchsorted(uniforms[:, 0], side="right")
+    for t in range(traj_length):
+        a = (policy_cdf[x] <= uniforms[live, 1 + 2 * t, None]).sum(axis=1)
+        states[live, t] = x
+        actions[live, t] = a
+        done = is_goal[x]
+        if done.any():
+            lengths[live[done]] = t + 1
+            live, x, a = live[~done], x[~done], a[~done]
+            if not live.size:
                 break
-            next_states, probs = model.transitions.row(x, a)
-            x = rng.choice(next_states, p=probs)
-        trajectories.append(Trajectory(steps))
-    return trajectories
+        row = a * model.n_states + x
+        k = (next_cdf[row] <= uniforms[live, 2 + 2 * t, None]).sum(axis=1)
+        x = next_states[row, k]
+    return [Trajectory(np.stack([states[i, :m], actions[i, :m]], axis=1))
+            for i, m in enumerate(lengths)]
 
 
 def save_true_reward(path, true_reward):

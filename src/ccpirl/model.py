@@ -164,11 +164,27 @@ class TransitionModel:
             _matvec_add(indptr, indices, data, layers[i], layers[i + 1])
         return layers
 
-    def row(self, x, a):
-        """(next states, probabilities) of T(. | x, a), columns ascending."""
-        i = a * self.n_states + x
-        lo, hi = self.csr.indptr[i], self.csr.indptr[i + 1]
-        return self.csr.indices[lo:hi], self.csr.data[lo:hi]
+    @functools.cached_property
+    def next_state_cdfs(self):
+        """(next states, CDFs), both (|A|*|X|, w) for w the largest row nnz:
+        row a*|X| + x lists the states T(. | x, a) reaches, columns
+        ascending, and the cumulative sums of their probabilities divided
+        by the row total, as ``Generator.choice`` builds them. Rows are
+        padded with state 0 and CDF 1.0, which no uniform in [0, 1)
+        selects, so a row's draw is the count of its CDF entries <= u.
+        """
+        csr = self.csr
+        nnz = np.diff(csr.indptr)
+        rows = np.repeat(np.arange(csr.shape[0]), nnz)
+        cols = np.arange(csr.nnz) - csr.indptr[rows]
+        width = max(int(nnz.max()), 1)
+        states = np.zeros((csr.shape[0], width), dtype=np.int64)
+        states[rows, cols] = csr.indices
+        cdf = np.zeros((csr.shape[0], width))
+        cdf[rows, cols] = csr.data
+        cdf = cdf.cumsum(axis=1)
+        cdf /= cdf[:, -1:]
+        return _frozen(states, dtype=np.int64), _frozen(cdf)
 
 
 @dataclass(frozen=True)

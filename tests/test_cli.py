@@ -240,6 +240,20 @@ def test_train_rejects_unknown_reward_from_config(tmp_path, capsys):
     assert "banana" in capsys.readouterr().err
 
 
+def test_train_rejects_unknown_algo_from_config(tmp_path, capsys):
+    env = gen_env(tmp_path)
+    demos = gen_experts(tmp_path, env, n=4)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"algo": "banana"}))
+    out = tmp_path / "train"
+    code = run("train", "--config", str(cfg), "--env-dir", str(env),
+               "--trajectories", str(demos), "--iterations", "1",
+               "--seed", "0", "--out", str(out))
+    assert code == 2
+    assert "banana" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_fingerprint_written(tmp_path):
     env = gen_env(tmp_path)
     config = json.loads((env / "config.json").read_text())

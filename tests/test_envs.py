@@ -6,18 +6,23 @@ from ccpirl.envs import (
     MOVES,
     ObjectworldSpec,
     TrueReward,
+    build,
     build_fixed_target,
     build_macro_cell,
     build_objectworld,
     default_traj_length,
+    expert_policy,
     generate_experts,
     load_true_reward,
+    sample_trajectories,
     save_true_reward,
 )
 from ccpirl.metrics import hard_value_iteration
 from ccpirl.model import DdcModel, FeatureMatrix, TransitionModel, \
     validate_model
 from ccpirl.rewards import broadcast_rewards
+
+from conftest import random_model
 
 
 def test_spec_validation():
@@ -251,6 +256,106 @@ def test_experts_stop_after_goal_step():
         hits = np.flatnonzero(t.states == goal)
         if hits.size:
             assert hits[0] == len(t) - 1  # recorded once, then stopped
+
+
+def _choice_walks(model, policy, n_trajectories, traj_length, seed):
+    """The per-step sampler: one rng.choice(p=) call per draw."""
+    csr = model.transitions.csr
+    walks = []
+    for stream in np.random.SeedSequence(seed).spawn(n_trajectories):
+        rng = np.random.default_rng(stream)
+        x = rng.choice(model.n_states, p=model.initial_dist)
+        steps = []
+        for _ in range(traj_length):
+            a = rng.choice(model.n_actions, p=policy[x])
+            steps.append((x, a))
+            if x in model.goal_states:
+                break
+            i = a * model.n_states + x
+            lo, hi = csr.indptr[i], csr.indptr[i + 1]
+            x = rng.choice(csr.indices[lo:hi], p=csr.data[lo:hi])
+        walks.append(np.array(steps, dtype=np.int64))
+    return walks
+
+
+def _assert_same_walks(got, want):
+    assert len(got) == len(want)
+    for traj, steps in zip(got, want):
+        assert np.array_equal(traj.steps, steps)
+
+
+@pytest.mark.parametrize("mode", ["soft", "hard-eps"])
+@pytest.mark.parametrize("kind,n,traj_length", [
+    ("fixed", 6, 24), ("macro", 8, 8), ("objectworld", 8, 12),
+    ("fixed", 5, 1), ("macro", 4, 1),
+])
+def test_experts_equal_per_step_choice_sampler(kind, n, traj_length, mode):
+    model, true_reward = build(kind, n, discount=0.9, seed=2, macro_size=2)
+    policy = expert_policy(model, true_reward, mode)
+    for seed in (0, 1, 17, 2024):
+        got = generate_experts(model, true_reward, 12, traj_length, seed,
+                               mode=mode)
+        _assert_same_walks(got, _choice_walks(model, policy, 12, traj_length,
+                                              seed))
+
+
+def test_goal_terminated_walks_equal_per_step_choice_sampler():
+    model, true_reward = build_fixed_target(GridSpec(n=3, seed=0,
+                                                     obstacle_density=0.0))
+    policy = expert_policy(model, true_reward)
+    got = generate_experts(model, true_reward, 40, 50, seed=1)
+    want = _choice_walks(model, policy, 40, 50, seed=1)
+    _assert_same_walks(got, want)
+    # most walks stop at the goal, at different steps
+    lengths = {len(t) for t in got}
+    assert len(lengths) > 3 and max(lengths) < 50
+
+
+def test_random_model_walks_equal_per_step_choice_sampler():
+    rng = np.random.default_rng(5)
+    model = random_model(rng, n_states=9, n_actions=3, goal_states=(4,))
+    policy = rng.random((9, 3))
+    policy /= policy.sum(axis=1, keepdims=True)
+    for seed in range(5):
+        _assert_same_walks(sample_trajectories(model, policy, 10, 15, seed),
+                           _choice_walks(model, policy, 10, 15, seed))
+
+
+@pytest.mark.parametrize("change,message", [
+    (lambda p: p.__setitem__((3, 0), -0.1), "non-negative"),
+    (lambda p: p.__setitem__((3, 0), p[3, 0] + 1e-6), "sum to 1"),
+    (lambda p: p.__setitem__((0, 1), np.nan), "non-negative"),
+])
+def test_sampler_rejects_bad_policy_rows(change, message):
+    model, true_reward = build_fixed_target(GridSpec(n=4, seed=0))
+    policy = expert_policy(model, true_reward).copy()
+    change(policy)
+    with pytest.raises(ValueError, match=message):
+        sample_trajectories(model, policy, 3, 5, seed=0)
+
+
+def test_sampler_rejects_bad_start_distribution():
+    model, true_reward = build_fixed_target(GridSpec(n=4, seed=0))
+    start = model.initial_dist * 0.5
+    bad = DdcModel(model.n_states, model.n_actions, model.transitions,
+                   model.discount, model.features, start, model.goal_states)
+    with pytest.raises(ValueError, match="initial state"):
+        generate_experts(bad, true_reward, 3, 5, seed=0)
+
+
+def test_sampler_accepts_rounding_within_choice_tolerance():
+    model, true_reward = build_fixed_target(GridSpec(n=4, seed=0))
+    policy = expert_policy(model, true_reward).copy()
+    policy[3] *= 1.0 + 1e-9
+    _assert_same_walks(sample_trajectories(model, policy, 6, 10, seed=3),
+                       _choice_walks(model, policy, 6, 10, seed=3))
+
+
+@pytest.mark.parametrize("traj_length", [0, -2])
+def test_experts_reject_nonpositive_length(traj_length):
+    model, true_reward = build_fixed_target(GridSpec(n=4, seed=0))
+    with pytest.raises(ValueError):
+        generate_experts(model, true_reward, 3, traj_length, seed=0)
 
 
 def test_corridor_experts_track_hard_optimal_policy():

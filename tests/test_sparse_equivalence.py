@@ -113,13 +113,21 @@ def test_hotz_miller_value_matches_dense(model, mode):
 def test_row_matches_dense_row():
     model = MODELS[3]
     mats = model.transitions.per_action
+    states, cdfs = model.transitions.next_state_cdfs
+    width = np.diff(model.transitions.csr.indptr).max()
+    assert states.shape == cdfs.shape == (model.n_actions * model.n_states,
+                                          width)
     for x in (0, 9, 63):
         for a in range(model.n_actions):
-            cols, probs = model.transitions.row(x, a)
-            assert np.all(np.diff(cols) > 0)
-            dense = np.zeros(model.n_states)
-            dense[cols] = probs
-            assert np.array_equal(dense, mats[a][x])
+            dense = mats[a][x]
+            cols = np.flatnonzero(dense)
+            k = cols.size
+            row = a * model.n_states + x
+            assert np.array_equal(states[row, :k], cols)
+            # the CDF Generator.choice(p=) builds from the dense row
+            cdf = dense[cols].cumsum()
+            assert np.array_equal(cdfs[row, :k], cdf / cdf[-1])
+            assert np.all(cdfs[row, k:] == 1.0)
 
 
 def test_expert_demos_are_pinned():
