@@ -177,7 +177,7 @@ class TransitionModel:
         nnz = np.diff(csr.indptr)
         rows = np.repeat(np.arange(csr.shape[0]), nnz)
         cols = np.arange(csr.nnz) - csr.indptr[rows]
-        width = max(int(nnz.max()), 1)
+        width = int(nnz.max())
         states = np.zeros((csr.shape[0], width), dtype=np.int64)
         states[rows, cols] = csr.indices
         cdf = np.zeros((csr.shape[0], width))
