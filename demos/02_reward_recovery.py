@@ -37,7 +37,7 @@ def main():
 
     for name, trainer in (("maxent", train_maxent), ("ccp", train_ccp)):
         reward = LinearReward(np.zeros(model.features.feature_dim))
-        report = trainer(model, demos, reward, GradientAscent(3.0), 50)
+        report = trainer(model, demos, reward, GradientAscent(0.1), 50)
         policy = soft_optimal_policy(model, report.final_rewards)
         print(f"{name:7s} EVD {evd(model, true_reward, policy):.3f}  "
               f"NLL {nll(policy, demos):.4f}  "

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
-import scipy.sparse.linalg
 
 from .ccp import expected_shock
 from .errors import MaxSweepsExceeded, SingularMatrix
@@ -35,18 +34,22 @@ class HotzMillerOperator:
     ccp: object
     policy_transition: scipy.sparse.csr_matrix  # F, row-stochastic
     shock_correction: np.ndarray  # (|X|, |A|)
-    lu: scipy.sparse.linalg.SuperLU  # of I - beta*F
+    lu: "scipy.sparse.linalg.SuperLU"  # of I - beta*F
 
 
 def factorize(F, beta):
     """Sparse LU factors of I - beta*F; raises SingularMatrix if there are
     none."""
+    # imported here, so that a process that never factorizes (gen-env,
+    # gen-experts, a maxent training) does not load scipy.sparse.linalg
+    from scipy.sparse.linalg import splu
+
     n = F.shape[0]
     system = (scipy.sparse.identity(n, format="csc") - beta * F).tocsc()
     if not np.all(np.isfinite(system.data)):
         raise SingularMatrix("I - beta*F has non-finite entries")
     try:
-        return scipy.sparse.linalg.splu(system)
+        return splu(system)
     except RuntimeError as exc:
         raise SingularMatrix(f"factorization of I - beta*F failed: {exc}") from exc
 

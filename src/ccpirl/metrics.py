@@ -8,6 +8,7 @@ reports paired speedups as CSV.
 """
 
 import json
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,9 +92,33 @@ def policy_evaluation(model, rewards, policy):
     return factorize(t_pi, model.discount).solve(r_pi)
 
 
+# (weak reference to the model, copy of its true reward table, v*) of the
+# last optimum evd solved; see _optimal_values
+_optimal_memo = None
+
+
+def _optimal_values(model, true_reward):
+    """The hard-optimal values v* of the true reward, solved once per (model,
+    reward table) and reused for every policy scored against them.
+
+    The model is matched by identity, through a weak reference so that a
+    dropped model is freed and its id cannot be mistaken for a later one;
+    the table by value, against a copy taken at the solve.
+    """
+    global _optimal_memo
+    table = reward_table(model, true_reward)
+    if _optimal_memo is not None:
+        model_ref, memo_table, v_star = _optimal_memo
+        if model_ref() is model and np.array_equal(memo_table, table):
+            return v_star
+    v_star, _ = hard_value_iteration(model, true_reward)
+    _optimal_memo = (weakref.ref(model), table.copy(), v_star)
+    return v_star
+
+
 def evd(model, true_reward, learned_policy):
     """Expected value difference under the true reward, from the start states."""
-    v_star, _ = hard_value_iteration(model, true_reward)
+    v_star = _optimal_values(model, true_reward)
     v_pi = policy_evaluation(model, true_reward, learned_policy)
     return float(model.initial_dist @ (v_star - v_pi))
 

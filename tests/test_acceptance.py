@@ -229,18 +229,22 @@ def test_ac4_speedup_on_32x32():
 
 
 def test_ac5_discount_scaling():
-    # One ccp training takes ~0.1 s, so a single run follows the machine's
-    # speed phases; the median of runs interleaved over beta does not.
+    # A single run follows the machine's speed phases (or another process
+    # on a shared CPU); the median of runs interleaved over beta does not.
+    # That holds for maxent's 0.4-3 s runs as well as ccp's ~0.1 s ones.
     betas = (0.9, 0.95, 0.99)
     problems = {}
-    maxent = []
     for beta in betas:
         model, true_reward = build_fixed_target(GridSpec(n=32, seed=0),
                                                 discount=beta)
         demos = generate_experts(model, true_reward, 64, 128, seed=1000)
         problems[beta] = (model, demos)
-        maxent.append(_paired_run(model, demos, "maxent", 1.0, 50)
-                      .total_seconds)
+    maxent_runs = {beta: [] for beta in betas}
+    for _ in range(3):
+        for beta in betas:
+            maxent_runs[beta].append(
+                _paired_run(*problems[beta], "maxent", 1.0, 50).total_seconds)
+    maxent = [float(np.median(maxent_runs[beta])) for beta in betas]
     ccp = {beta: [] for beta in betas}
     work = set()  # (ex-ante evaluations, soft-VI solves) of each ccp run
     for _ in range(5):
@@ -255,7 +259,7 @@ def test_ac5_discount_scaling():
     same_work = work == {(50, 0)}
     ok = maxent_increasing and ccp_spread < 0.25 and same_work
     report("AC05", ok,
-           f"maxent seconds {[round(t, 1) for t in maxent]} "
+           f"maxent median seconds of 3 {[round(t, 1) for t in maxent]} "
            f"(strictly increasing: {maxent_increasing}), ccp median seconds "
            f"of 5 {[round(t, 3) for t in medians]} "
            f"(spread {ccp_spread:.1%}, limit 25%), ccp (exante evals, "

@@ -1,10 +1,14 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import ccpirl
 from ccpirl.cli import main
 from ccpirl.envs import default_traj_length
 from ccpirl.model import load_model, load_trajectories, validate_model
@@ -118,6 +122,37 @@ def test_estimate_ccp_output(tmp_path):
     table = load_ccp(out)
     assert table.n_states == 16
     assert np.allclose(table.probs.sum(axis=1), 1.0, atol=1e-9)
+
+
+def test_sparse_lu_module_loads_only_for_a_factorization(tmp_path):
+    # a fresh interpreter: this one has long since loaded the module
+    script = textwrap.dedent(f"""
+        import sys
+        import ccpirl.cli
+        from ccpirl.cli import main
+        LU = "scipy.sparse.linalg"
+        work = {str(tmp_path)!r}
+        def train(algo):
+            assert main(["train", "--env-dir", work + "/env",
+                         "--trajectories", work + "/demos.json",
+                         "--algo", algo, "--iterations", "2", "--seed", "0",
+                         "--out", work + "/" + algo]) == 0
+        assert main(["gen-env", "--env", "fixed", "--n", "4", "--seed", "0",
+                     "--out", work + "/env"]) == 0
+        assert main(["gen-experts", "--env-dir", work + "/env",
+                     "--n-trajectories", "4", "--seed", "1",
+                     "--out", work + "/demos.json"]) == 0
+        train("maxent")
+        assert LU not in sys.modules, "loaded before any factorization"
+        train("ccp")
+        assert LU in sys.modules
+    """)
+    src = os.path.dirname(os.path.dirname(ccpirl.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_train_writes_report_rows(tmp_path):

@@ -1,10 +1,14 @@
 import csv
+import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
+from ccpirl import metrics
 from ccpirl.envs import GridSpec, build_fixed_target, generate_experts
-from ccpirl.errors import EmptyData, InvalidInput
+from ccpirl.errors import EmptyData, InvalidInput, MaxSweepsExceeded
 from ccpirl.metrics import (
     BENCH_CSV_HEADER,
     BenchCell,
@@ -161,6 +165,92 @@ def test_evd_nonnegative_for_random_policies():
         probs = rng.random((model.n_states, model.n_actions)) + 0.01
         probs /= probs.sum(axis=1, keepdims=True)
         assert evd(model, true_reward, SoftPolicy(probs)) >= -1e-6
+
+
+@pytest.fixture
+def counted_hard_vi(monkeypatch):
+    """Counts the optimum solves evd makes, from an empty memo."""
+    calls = []
+    solve = metrics.hard_value_iteration
+
+    def counted(model, rewards, *args, **kwargs):
+        calls.append(model)
+        return solve(model, rewards, *args, **kwargs)
+
+    monkeypatch.setattr(metrics, "_optimal_memo", None)
+    monkeypatch.setattr(metrics, "hard_value_iteration", counted)
+    return calls
+
+
+def random_policies(model, count, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        probs = rng.random((model.n_states, model.n_actions)) + 0.01
+        yield SoftPolicy(probs / probs.sum(axis=1, keepdims=True))
+
+
+def test_evd_solves_the_optimum_once_per_model_and_reward(counted_hard_vi):
+    model, true_reward = build_fixed_target(GridSpec(n=5, seed=3))
+    v_star, _ = hard_value_iteration(model, true_reward)
+    for policy in random_policies(model, 4, seed=0):
+        expected = float(model.initial_dist @ (
+            v_star - policy_evaluation(model, true_reward, policy)))
+        assert evd(model, true_reward, policy) == expected  # bitwise
+    assert len(counted_hard_vi) == 1
+
+
+def test_evd_solves_again_for_another_reward_or_model(counted_hard_vi):
+    model, true_reward = build_fixed_target(GridSpec(n=4, seed=0))
+    policy = uniform_policy(model.n_states, model.n_actions)
+    first = evd(model, true_reward, policy)
+    other_reward = true_reward.values + 1.0
+    assert evd(model, other_reward, policy) != first
+    assert len(counted_hard_vi) == 2
+    # the memo holds one entry: going back to the first reward solves again
+    assert evd(model, true_reward, policy) == first
+    assert len(counted_hard_vi) == 3
+    # equal contents, another object
+    twin = dataclasses.replace(model, discount=model.discount)
+    assert evd(twin, true_reward, policy) == first
+    assert counted_hard_vi[-1] is twin and len(counted_hard_vi) == 4
+    # tables are matched by value: an equal one hits, and one changed in
+    # place after its solve is another table
+    table = broadcast_rewards(true_reward.values, model.n_actions).copy()
+    assert evd(twin, table, policy) == first
+    assert len(counted_hard_vi) == 4
+    table[0, 0] += 1.0
+    evd(twin, table, policy)
+    assert len(counted_hard_vi) == 5
+    table[0, 0] -= 1.0
+    assert evd(twin, table, policy) == first
+    assert len(counted_hard_vi) == 6
+
+
+def test_evd_failed_solve_stores_nothing(monkeypatch):
+    model, true_reward = build_fixed_target(GridSpec(n=4, seed=0))
+    policy = uniform_policy(model.n_states, model.n_actions)
+
+    def failing(*args, **kwargs):
+        raise MaxSweepsExceeded("no convergence", last_iterate=None,
+                                residual=1.0)
+
+    monkeypatch.setattr(metrics, "_optimal_memo", None)
+    with monkeypatch.context() as patch:
+        patch.setattr(metrics, "hard_value_iteration", failing)
+        with pytest.raises(MaxSweepsExceeded):
+            evd(model, true_reward, policy)
+    assert metrics._optimal_memo is None
+    assert evd(model, true_reward, policy) > 0.0
+
+
+def test_evd_memo_does_not_keep_the_model_alive(monkeypatch):
+    monkeypatch.setattr(metrics, "_optimal_memo", None)
+    model, true_reward = build_fixed_target(GridSpec(n=4, seed=0))
+    evd(model, true_reward, uniform_policy(model.n_states, model.n_actions))
+    ref = weakref.ref(model)
+    del model
+    gc.collect()
+    assert ref() is None
 
 
 def test_soft_optimal_policy_beats_uniform():
