@@ -231,7 +231,7 @@ def test_ac4_speedup_on_32x32():
 def test_ac5_discount_scaling():
     # A single run follows the machine's speed phases (or another process
     # on a shared CPU); the median of runs interleaved over beta does not.
-    # That holds for maxent's 0.4-3 s runs as well as ccp's ~0.1 s ones.
+    # That holds for maxent's 0.4-5 s runs as well as ccp's ~0.1 s ones.
     betas = (0.9, 0.95, 0.99)
     problems = {}
     for beta in betas:

@@ -128,7 +128,6 @@ def test_sparse_lu_module_loads_only_for_a_factorization(tmp_path):
     # a fresh interpreter: this one has long since loaded the module
     script = textwrap.dedent(f"""
         import sys
-        import ccpirl.cli
         from ccpirl.cli import main
         LU = "scipy.sparse.linalg"
         work = {str(tmp_path)!r}

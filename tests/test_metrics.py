@@ -182,17 +182,13 @@ def counted_hard_vi(monkeypatch):
     return calls
 
 
-def random_policies(model, count, seed):
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        probs = rng.random((model.n_states, model.n_actions)) + 0.01
-        yield SoftPolicy(probs / probs.sum(axis=1, keepdims=True))
-
-
 def test_evd_solves_the_optimum_once_per_model_and_reward(counted_hard_vi):
     model, true_reward = build_fixed_target(GridSpec(n=5, seed=3))
     v_star, _ = hard_value_iteration(model, true_reward)
-    for policy in random_policies(model, 4, seed=0):
+    rng = np.random.default_rng(0)
+    for _ in range(4):
+        probs = rng.random((model.n_states, model.n_actions)) + 0.01
+        policy = SoftPolicy(probs / probs.sum(axis=1, keepdims=True))
         expected = float(model.initial_dist @ (
             v_star - policy_evaluation(model, true_reward, policy)))
         assert evd(model, true_reward, policy) == expected  # bitwise
