@@ -62,7 +62,6 @@ from .model import (
     Trajectory,
     TransitionModel,
     check_trajectories,
-    expected_next_value,
     load_model,
     load_trajectories,
     save_model,
@@ -83,7 +82,6 @@ from .rewards import (
 )
 from .softdp import (
     EULER_GAMMA,
-    ChoiceValues,
     SoftDpConfig,
     choice_values,
     policy_from_values,

@@ -26,7 +26,7 @@ from .metrics import BenchCell, BenchSuiteConfig, EvalResult, evd, nll, \
     run_benchmark, soft_optimal_policy
 from .model import check_trajectories, load_model, load_trajectories, \
     save_model, save_trajectories, validate_model
-from .rewards import initial_reward, reward_table
+from .rewards import LinearReward, initial_reward, reward_table
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
@@ -181,7 +181,7 @@ def cmd_train(args):
 
     start_iteration = 0
     if args.resume:
-        reward, optimizer, start_iteration, _ = load_checkpoint(args.resume)
+        reward, optimizer, start_iteration = _checkpoint_for(args.resume, model)
     else:
         try:
             reward, optimizer = initial_reward(
@@ -222,6 +222,20 @@ def cmd_train(args):
           f"final nll {final_nll:.12g}")
 
 
+def _checkpoint_for(path, model):
+    """(reward, optimizer, iteration) of a checkpoint whose reward fits the
+    model's features."""
+    reward, optimizer, iteration, _ = load_checkpoint(path)
+    d, h = model.features.feature_dim, np.size(getattr(reward, "b1", 0))
+    want = {"theta": (d,)} if isinstance(reward, LinearReward) \
+        else {"w1": (d, h), "b1": (h,), "w2": (h,), "b2": (1,)}
+    got = {k: np.shape(v) for k, v in reward.param_dict().items()}
+    if got != want:
+        raise CliError(f"checkpoint {path} has parameter shapes {got}, "
+                       f"which do not fit {d} features")
+    return reward, optimizer, iteration
+
+
 def _write_reward_grid(path, state_rewards):
     n = math.isqrt(len(state_rewards))
     grid = state_rewards.reshape(n, n) if n * n == len(state_rewards) \
@@ -233,9 +247,7 @@ def cmd_eval(args):
     _require(args, "env_dir", "checkpoint", "trajectories", "out")
     model, true_reward = _load_env_dir(args.env_dir)
     trajectories = _load_trajs(args.trajectories, model)
-    if not os.path.exists(args.checkpoint):
-        raise CliError(f"missing checkpoint {args.checkpoint}")
-    reward, _, _, _ = load_checkpoint(args.checkpoint)
+    reward, _, _ = _checkpoint_for(args.checkpoint, model)
     table = reward_table(model, reward)
     try:
         policy = soft_optimal_policy(model, table)
@@ -295,16 +307,16 @@ def cmd_bench(args):
     if args.suite in presets:
         suite = presets[args.suite]
     elif os.path.exists(args.suite):
-        with open(args.suite) as fh:
-            data = json.load(fh)
         try:
+            with open(args.suite) as fh:
+                data = json.load(fh)
             suite = BenchSuiteConfig(
                 name=data.get("name", "custom"),
                 cells=[BenchCell(**c) for c in data["cells"]],
                 repeats=data.get("repeats", 3),
                 warmup=data.get("warmup", True),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise CliError(f"invalid suite file: {exc}")
     else:
         raise CliError(
@@ -340,10 +352,13 @@ def _read_config_file(argv):
         raise CliError("--config requires a path")
     if not os.path.exists(path):
         raise CliError(f"missing config file {path}")
-    with open(path) as fh:
-        values = json.load(fh)
-    defaults = {k.replace("-", "_"): v for k, v in values.items()
-                if k != "command"}
+    try:
+        with open(path) as fh:
+            values = json.load(fh)
+        defaults = {k.replace("-", "_"): v for k, v in values.items()
+                    if k != "command"}
+    except (ValueError, AttributeError) as exc:
+        raise CliError(f"invalid config file {path}: {exc}")
     return argv[:idx] + argv[idx + 2:], defaults
 
 
@@ -430,12 +445,9 @@ def main(argv=None):
         args = build_parser(defaults).parse_args(argv)
         args.func(args)
         return 0
-    except CliError as exc:
+    except (CliError, InvalidInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except InvalidInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return getattr(exc, "code", EXIT_CONFIG)
     except CcpIrlError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

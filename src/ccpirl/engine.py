@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ccp import estimate_ccp
-from .errors import EmptyData, NonFiniteGradient
+from .errors import EmptyData, InvalidInput, NonFiniteGradient
 from .hotzmiller import build_operator, exante_value
 from .metrics import nll
 from .model import SoftPolicy, check_trajectories
@@ -138,8 +138,8 @@ def _train(algorithm, values, model, trajectories, reward_param, optimizer,
     if not trajectories:
         raise EmptyData("no trajectories given")
     horizon = horizon or default_horizon(trajectories)
-    mu_demo = feature_expectations_from_demos(trajectories, model.features)
     visit_demo = demo_state_visits(trajectories, model.n_states)
+    mu_demo = model.features.values.T @ visit_demo
 
     records = []
     policy = None
@@ -217,15 +217,21 @@ def save_checkpoint(path, reward_param, optimizer, iteration, seed=None):
 
 
 def load_checkpoint(path):
-    with open(path) as fh:
-        data = json.load(fh)
-    params = {k: np.asarray(v, dtype=float) for k, v in data["params"].items()}
-    if data["reward_kind"] == "linear":
-        reward = LinearReward(params["theta"])
-    else:
-        reward = MlpReward(params["w1"], params["b1"], params["w2"],
-                           np.asarray(params["b2"]).ravel()[0])
-    opt_data = data["optimizer"]
-    optimizer = GradientAscent() if opt_data["kind"] == "sgd" else Adam()
-    optimizer.load_state_dict(opt_data)
-    return reward, optimizer, int(data["iteration"]), data["seed"]
+    """Read a checkpoint; raises InvalidInput if it is absent or malformed."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        params = {k: np.asarray(v, dtype=float)
+                  for k, v in data["params"].items()}
+        if data["reward_kind"] == "linear":
+            reward = LinearReward(params["theta"])
+        else:
+            reward = MlpReward(params["w1"], params["b1"], params["w2"],
+                               np.asarray(params["b2"]).ravel()[0])
+        opt_data = data["optimizer"]
+        optimizer = GradientAscent() if opt_data["kind"] == "sgd" else Adam()
+        optimizer.load_state_dict(opt_data)
+        return reward, optimizer, int(data["iteration"]), data["seed"]
+    except (OSError, KeyError, IndexError, TypeError, ValueError,
+            AttributeError) as exc:
+        raise InvalidInput(f"invalid checkpoint {path}: {exc}") from exc

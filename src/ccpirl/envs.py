@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import InvalidInput
 from .model import DdcModel, FeatureMatrix, Trajectory, TransitionModel
 from .rewards import reward_table
 from .softdp import choice_values, policy_from_values, solve_soft_vi
@@ -405,7 +406,11 @@ def save_true_reward(path, true_reward):
 
 
 def load_true_reward(path):
-    with open(path) as fh:
-        data = json.load(fh)
-    return TrueReward(np.asarray(data["values"], dtype=float),
-                      provenance=data.get("provenance", {}))
+    """Read a true-reward file; raises InvalidInput if it is malformed."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        return TrueReward(np.asarray(data["values"], dtype=float),
+                          provenance=data.get("provenance", {}))
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise InvalidInput(f"malformed true reward {path}: {exc}") from exc

@@ -8,10 +8,11 @@ With sigma the choice probabilities, the value fixed point is linear:
 
 The inverse depends only on sigma, beta, and T, so it is built once and
 reused for every reward evaluation. F is sparse (it has the non-zeros of
-the transitions). The operator factorizes (I - beta*F) once with a sparse
-LU and back-substitutes per reward. Solving v = b + beta*F*v by successive
-approximation (``iterative_inverse_apply``) is kept as the reference the
-factorized solve is tested against.
+the transitions), built by ``TransitionModel.weighted`` on the pattern
+the forward pass reads. The operator factorizes (I - beta*F) once with a
+sparse LU and back-substitutes per reward. Solving v = b + beta*F*v by
+successive approximation (``iterative_inverse_apply``) is kept as the
+reference the factorized solve is tested against.
 """
 
 from dataclasses import dataclass
@@ -32,7 +33,7 @@ ITERATIVE_MAX_SWEEPS = 1_000_000
 class HotzMillerOperator:
     beta: float
     ccp: object
-    policy_transition: scipy.sparse.csr_matrix  # F, row-stochastic
+    policy_transition: scipy.sparse.csc_matrix  # F, row-stochastic
     shock_correction: np.ndarray  # (|X|, |A|)
     lu: "scipy.sparse.linalg.SuperLU"  # of I - beta*F
 
@@ -44,8 +45,7 @@ def factorize(F, beta):
     # gen-experts, a maxent training) does not load scipy.sparse.linalg
     from scipy.sparse.linalg import splu
 
-    n = F.shape[0]
-    system = (scipy.sparse.identity(n, format="csc") - beta * F).tocsc()
+    system = scipy.sparse.identity(F.shape[0], format="csc") - beta * F
     if not np.all(np.isfinite(system.data)):
         raise SingularMatrix("I - beta*F has non-finite entries")
     try:

@@ -107,27 +107,14 @@ class TransitionModel:
         _matvec_add(self.csr.indptr, self.csr.indices, self.csr.data, v, out)
         return out.reshape(self.n_actions, self.n_states).T
 
-    def weighted(self, weights):
-        """Sparse F = sum_a diag(weights[:, a]) T(a), for (|X|, |A|) weights
-        such as choice probabilities or a policy."""
-        n, k = self.n_states, self.n_actions
-        # row x of the selector holds weights[x, a] at column a*|X| + x
-        cols = (np.arange(n)[:, None] + n * np.arange(k)).ravel()
-        selector = scipy.sparse.csr_matrix(
-            (np.ravel(weights).astype(float), cols,
-             np.arange(0, n * k + 1, k)), shape=(n, n * k))
-        return selector @ self.csr
-
     @functools.cached_property
     def _forward_pattern(self):
-        """F^T = sum_a T(a)^T diag(w_a) on the union pattern of the T(a)^T,
-        for any weights w: CSR (indptr, indices) of that pattern, whose
-        column x of entry (y, x) is also the state it reads weights from,
-        and one row per action of T(y | x, a) aligned with the entries, 0
-        where T(a) has no such entry. Built on first use, since it costs
-        more than the rest of construction and only the forward pass
-        needs it.
-        """
+        """The union pattern of the T(a)^T, on which every F^T is gathered:
+        CSR (indptr, indices) of F^T, which are F's CSC arrays, where column
+        x of entry (y, x) is also the state it reads weights from, and one
+        row per action of T(y | x, a) aligned with the entries, 0 where T(a)
+        has no such entry. Built on first use, as it costs more than the
+        rest of construction."""
         n, csr = self.n_states, self.csr
         rows = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
         actions, states = np.divmod(rows, n)
@@ -138,18 +125,13 @@ class TransitionModel:
         targets, sources = np.divmod(keys, n)
         indptr = np.zeros(n + 1, dtype=csr.indptr.dtype)
         np.cumsum(np.bincount(targets, minlength=n), out=indptr[1:])
-        return indptr, sources.astype(csr.indices.dtype), values
+        # read-only, since every F from ``weighted`` shares indptr and indices
+        return (_frozen(indptr, indptr.dtype),
+                _frozen(sources, csr.indices.dtype), _frozen(values))
 
-    def push_forward(self, weights, start, steps):
-        """(steps+1, |X|) array of occupancies d_0 = start and
-        d_{i+1} = F^T d_i, with F = weighted(weights).
-
-        F^T's values are gathered onto a pattern fixed per model, actions
-        added in ascending order and w*T multiplied as ``weighted``'s
-        sparse product does, so every entry is bitwise equal to
-        ``weighted(weights).T``'s; entries that product drops as zero stay
-        explicit here and add an exact 0 to each sum.
-        """
+    def _gather(self, weights):
+        """CSR arrays of F^T = sum_a T(a)^T diag(w_a) on ``_forward_pattern``,
+        actions added in ascending order, an absent T(a) entry an exact 0."""
         weights = np.asarray(weights, dtype=float)
         if weights.shape != (self.n_states, self.n_actions):
             raise ValueError(f"weights have shape {weights.shape}, expected "
@@ -158,6 +140,20 @@ class TransitionModel:
         data = weights[indices, 0] * values[0]
         for a in range(1, self.n_actions):
             data += weights[indices, a] * values[a]
+        return indptr, indices, data
+
+    def weighted(self, weights):
+        """Sparse F = sum_a diag(weights[:, a]) T(a) for (|X|, |A|) weights
+        such as choice probabilities or a policy, as CSC: its arrays are
+        F^T's CSR ones from ``_gather``."""
+        indptr, indices, data = self._gather(weights)
+        return scipy.sparse.csc_matrix(
+            (data, indices, indptr), shape=(self.n_states, self.n_states))
+
+    def push_forward(self, weights, start, steps):
+        """(steps+1, |X|) array of occupancies d_0 = start and
+        d_{i+1} = F^T d_i, with F = weighted(weights)."""
+        indptr, indices, data = self._gather(weights)
         layers = np.zeros((steps + 1, self.n_states))
         layers[0] = start
         for i in range(steps):
@@ -358,16 +354,6 @@ def check_trajectories(trajectories, n_states, n_actions=None):
                 raise InvalidInput(
                     f"trajectory {i} has {kind} index {int(bad[0])} outside "
                     f"[0, {bound})")
-
-
-def expected_next_value(model, vbar, action):
-    """T(a) . Vbar, the expected next-period ex-ante value per state."""
-    v = vbar.values if isinstance(vbar, ExAnteValue) else np.asarray(vbar, dtype=float)
-    if v.shape != (model.n_states,):
-        raise ValueError(
-            f"value vector has length {v.shape}, expected ({model.n_states},)"
-        )
-    return model.transitions.next_values(v)[:, action]
 
 
 # ---------------------------------------------------------------------------

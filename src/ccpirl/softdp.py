@@ -27,13 +27,6 @@ class SoftDpConfig:
     max_sweeps: int = 10000
 
 
-@dataclass(frozen=True)
-class ChoiceValues:
-    """q(x, a) = r(x, a) + beta * E[Vbar(x') | x, a]."""
-
-    q: np.ndarray
-
-
 def _check_rewards(model, rewards):
     r = np.asarray(rewards, dtype=float)
     if r.shape != (model.n_states, model.n_actions):
@@ -94,9 +87,9 @@ def solve_soft_vi(model, rewards, config=None, v0=None):
 
 
 def choice_values(model, rewards, vbar):
+    """q(x, a) = r(x, a) + beta * E[Vbar(x') | x, a], an (|X|, |A|) array."""
     r = _check_rewards(model, rewards)
-    return ChoiceValues(r + model.discount
-                        * model.transitions.next_values(_values(vbar)))
+    return r + model.discount * model.transitions.next_values(_values(vbar))
 
 
 def policy_from_values(q):
@@ -105,9 +98,8 @@ def policy_from_values(q):
     Computed with a per-row max shift so rows with entries near +-700 still
     normalize exactly.
     """
-    vals = q.q if isinstance(q, ChoiceValues) else np.asarray(q, dtype=float)
-    shifted = vals - vals.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
+    q = np.asarray(q, dtype=float)
+    e = np.exp(q - q.max(axis=1, keepdims=True))
     return SoftPolicy(e / e.sum(axis=1, keepdims=True))
 
 

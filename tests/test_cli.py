@@ -370,6 +370,55 @@ def test_bad_demo_files_are_config_errors(tmp_path, capsys, steps, message):
         assert message in err[0]
 
 
+THREE_WEIGHTS = json.dumps({
+    "reward_kind": "linear", "params": {"theta": [0.0, 0.0, 0.0]},
+    "optimizer": {"kind": "sgd", "step_size": 0.1}, "iteration": 1,
+    "seed": 0})
+
+
+@pytest.mark.parametrize("content, command", [
+    ('{"bogus": 1}', "eval"),
+    ("not json {", "resume"),
+    (None, "resume"),
+    (THREE_WEIGHTS, "eval"),
+    (THREE_WEIGHTS, "resume"),
+    ("not json {", "config"),
+    ("not json {", "gen-experts"),
+    ("not json {", "bench"),
+], ids=["bogus-checkpoint", "not-json-resume", "missing-resume",
+        "three-weight-eval", "three-weight-resume", "config",
+        "true-reward", "suite"])
+def test_bad_input_files_are_config_errors(tmp_path, capsys, content,
+                                           command):
+    env = gen_env(tmp_path)  # a 4x4 fixed grid: 2 features
+    demos = gen_experts(tmp_path, env, n=2)
+    # gen-experts reads the bad file as the env's true reward
+    bad = env / "true_reward.json" if command == "gen-experts" \
+        else tmp_path / "bad.json"
+    if content is not None:
+        bad.write_text(content)
+    argv = {
+        "eval": ["eval", "--env-dir", str(env), "--checkpoint", str(bad),
+                 "--trajectories", str(demos),
+                 "--out", str(tmp_path / "eval.json")],
+        "resume": ["train", "--env-dir", str(env), "--trajectories",
+                   str(demos), "--algo", "maxent", "--iterations", "1",
+                   "--seed", "0", "--out", str(tmp_path / "run"),
+                   "--resume", str(bad)],
+        "config": ["train", "--config", str(bad)],
+        "gen-experts": ["gen-experts", "--env-dir", str(env),
+                        "--n-trajectories", "2", "--seed", "0",
+                        "--out", str(tmp_path / "d.json")],
+        "bench": ["bench", "--suite", str(bad), "--out", str(tmp_path / "b")],
+    }[command]
+    capsys.readouterr()
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
 def test_gen_env_rejects_unit_discount(tmp_path, capsys):
     code = run("gen-env", "--env", "fixed", "--n", "4", "--beta", "1.0",
                "--seed", "0", "--out", str(tmp_path / "env"))

@@ -1,19 +1,22 @@
 """Property tests for the sweep kernels of ``TransitionModel``.
 
 ``next_values`` and ``push_forward`` call scipy's compiled CSR mat-vec on
-raw arrays and build the forward operator on a fixed sparsity pattern, so
-the reference here is the plain ``scipy.sparse`` product they replace.
-They must agree bitwise, not to a tolerance, on random sparse models with
-random goal sets and weights that include zeros.
+raw arrays, and ``weighted`` and ``push_forward`` gather the sigma-weighted
+operator onto a sparsity pattern fixed per model, so the references here
+are the plain ``scipy.sparse`` products they replace. They must agree
+bitwise, not to a tolerance, on random sparse models with random goal sets
+and weights that include zeros.
 """
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccpirl.engine import forward_pass
 from ccpirl.errors import MaxSweepsExceeded
+from ccpirl.hotzmiller import factorize
 from ccpirl.metrics import hard_value_iteration
 from ccpirl.softdp import EULER_GAMMA, SoftDpConfig, logsumexp_rows, \
     solve_soft_vi
@@ -38,6 +41,17 @@ def _reference_next_values(model, v):
                                                model.n_states).T
 
 
+def _reference_weighted(trans, w):
+    """F = sum_a diag(w_a) T(a) as one scipy.sparse product: a selector
+    whose row x holds w[x, a] at column a*|X| + x, times the stacked CSR."""
+    n, k = trans.n_states, trans.n_actions
+    cols = (np.arange(n)[:, None] + n * np.arange(k)).ravel()
+    selector = scipy.sparse.csr_matrix(
+        (np.ravel(w).astype(float), cols, np.arange(0, n * k + 1, k)),
+        shape=(n, n * k))
+    return selector @ trans.csr
+
+
 def assert_bitwise(got, want):
     got, want = np.asarray(got), np.asarray(want)
     assert got.shape == want.shape
@@ -58,6 +72,23 @@ def test_next_values_bitwise_equal_to_csr_product(case):
 
 @SETTINGS
 @given(sparse_models())
+def test_weighted_and_its_solve_bitwise_equal_to_selector_product(case):
+    model, rng = case
+    trans = model.transitions
+    for _ in range(2):  # the pattern is reused across weights
+        w = _weights(rng, model)
+        b = rng.standard_normal(model.n_states)
+        want = _reference_weighted(trans, w)
+        assert_bitwise(trans.weighted(w).toarray(), want.toarray())
+        assert_bitwise(factorize(trans.weighted(w), model.discount).solve(b),
+                       factorize(want, model.discount).solve(b))
+        # F shares the model's pattern, which an in-place edit must not reach
+        with pytest.raises(ValueError):
+            trans.weighted(w).eliminate_zeros()
+
+
+@SETTINGS
+@given(sparse_models())
 def test_forward_operator_bitwise_equal_to_weighted_transpose(case):
     model, rng = case
     trans = model.transitions
@@ -65,7 +96,7 @@ def test_forward_operator_bitwise_equal_to_weighted_transpose(case):
         w = _weights(rng, model)
         d = rng.standard_normal(model.n_states)
         assert_bitwise(trans.push_forward(w, d, 1)[1],
-                       trans.weighted(w).T @ d)
+                       _reference_weighted(trans, w).T @ d)
 
 
 @SETTINGS
@@ -75,7 +106,7 @@ def test_forward_pass_bitwise_equal_to_sparse_products(case, horizon):
     policy = _weights(rng, model)
     w = policy.copy()
     w[sorted(model.goal_states)] = 0.0
-    step = model.transitions.weighted(w).T
+    step = _reference_weighted(model.transitions, w).T
     layers = [model.initial_dist.copy()]
     for _ in range(horizon):
         layers.append(step @ layers[-1])

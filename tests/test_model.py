@@ -10,7 +10,6 @@ from ccpirl.model import (
     FeatureMatrix,
     Trajectory,
     TransitionModel,
-    expected_next_value,
     load_model,
     load_trajectories,
     model_to_json,
@@ -101,10 +100,14 @@ def test_arrays_are_read_only():
         model.features.values[0, 0] = 9.0
 
 
+# T(a) . Vbar, the expected next-period value per state, is column a of
+# next_values(Vbar).
+
+
 def test_expected_next_value_identity_transitions():
     model = identity_model()
     v = np.array([1.5, -2.0])
-    assert np.array_equal(expected_next_value(model, v, 0), v)
+    assert np.array_equal(model.transitions.next_values(v)[:, 0], v)
 
 
 def test_expected_next_value_uniform_two_states():
@@ -116,7 +119,7 @@ def test_expected_next_value_uniform_two_states():
         features=FeatureMatrix(np.eye(2)),
         initial_dist=np.array([0.5, 0.5]),
     )
-    out = expected_next_value(model, np.array([0.0, 10.0]), 0)
+    out = model.transitions.next_values(np.array([0.0, 10.0]))[:, 0]
     assert np.allclose(out, [5.0, 5.0])
 
 
@@ -128,7 +131,7 @@ def test_expected_next_value_matches_direct_summation():
         mat = model.transitions.per_action[a]
         oracle = np.array([sum(mat[i, j] * v[j] for j in range(3))
                            for i in range(3)])
-        assert np.allclose(expected_next_value(model, v, a), oracle)
+        assert np.allclose(model.transitions.next_values(v)[:, a], oracle)
 
 
 def test_expected_next_value_preserves_max_norm_bound():
@@ -137,13 +140,13 @@ def test_expected_next_value_preserves_max_norm_bound():
         model = random_model(rng, n_states=6, n_actions=3)
         v = rng.standard_normal(6) * 10
         for a in range(3):
-            out = expected_next_value(model, v, a)
+            out = model.transitions.next_values(v)[:, a]
             assert np.max(np.abs(out)) <= np.max(np.abs(v)) + 1e-12
 
 
 def test_expected_next_value_rejects_wrong_length():
     with pytest.raises(ValueError):
-        expected_next_value(identity_model(), np.zeros(3), 0)
+        identity_model().transitions.next_values(np.zeros(3))
 
 
 def test_trajectory_requires_steps():

@@ -126,7 +126,7 @@ def test_choice_values_beta_zero_equals_rewards():
     rng = np.random.default_rng(2)
     model = random_model(rng, n_states=3, n_actions=2, beta=0.0)
     r = rng.standard_normal((3, 2))
-    assert np.array_equal(choice_values(model, r, np.zeros(3)).q, r)
+    assert np.array_equal(choice_values(model, r, np.zeros(3)), r)
 
 
 def test_choice_values_identity_transitions_constant_value():
@@ -139,7 +139,7 @@ def test_choice_values_identity_transitions_constant_value():
         initial_dist=np.full(3, 1 / 3),
     )
     r = np.arange(6.0).reshape(3, 2)
-    q = choice_values(model, r, np.full(3, 2.0)).q
+    q = choice_values(model, r, np.full(3, 2.0))
     assert np.allclose(q, r + 0.8 * 2.0)
 
 
@@ -148,7 +148,7 @@ def test_choice_values_direct_summation_oracle():
     model = random_model(rng, n_states=4, n_actions=3)
     r = rng.standard_normal((4, 3))
     v = rng.standard_normal(4)
-    q = choice_values(model, r, v).q
+    q = choice_values(model, r, v)
     for x in range(4):
         for a in range(3):
             expect = r[x, a] + model.discount * sum(

@@ -61,6 +61,8 @@ def test_weighted_transition_matches_dense(model):
     F = model.transitions.weighted(probs)
     assert F.shape == (model.n_states, model.n_states)
     assert np.max(np.abs(F.toarray() - _dense_weighted(model, probs))) < TOL
+    with pytest.raises(ValueError, match="weights have shape"):
+        model.transitions.weighted(probs.T)
 
 
 @pytest.mark.parametrize("model", MODELS, ids=IDS)
