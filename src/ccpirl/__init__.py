@@ -10,7 +10,6 @@ from .ccp import SmoothingConfig, estimate_ccp, expected_shock
 from .engine import (
     TrainReport,
     VisitationResult,
-    feature_expectations_from_demos,
     feature_expectations_from_visitation,
     forward_pass,
     train_ccp,
@@ -38,7 +37,6 @@ from .hotzmiller import (
     HotzMillerOperator,
     build_operator,
     exante_value,
-    iterative_inverse_apply,
 )
 from .metrics import (
     BenchCell,
@@ -70,11 +68,9 @@ from .model import (
 )
 from .rewards import (
     Adam,
-    AdamState,
     GradientAscent,
     LinearReward,
     MlpReward,
-    adam_step,
     broadcast_rewards,
     mlp_backward,
     mlp_forward,
@@ -85,7 +81,6 @@ from .softdp import (
     SoftDpConfig,
     choice_values,
     policy_from_values,
-    soft_bellman_backup,
     solve_soft_vi,
 )
 

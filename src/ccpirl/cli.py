@@ -224,7 +224,7 @@ def cmd_train(args):
 
 def _checkpoint_for(path, model):
     """(reward, optimizer, iteration) of a checkpoint whose reward fits the
-    model's features."""
+    model's features and whose Adam moments, if any, fit the reward."""
     reward, optimizer, iteration, _ = load_checkpoint(path)
     d, h = model.features.feature_dim, np.size(getattr(reward, "b1", 0))
     want = {"theta": (d,)} if isinstance(reward, LinearReward) \
@@ -233,6 +233,14 @@ def _checkpoint_for(path, model):
     if got != want:
         raise CliError(f"checkpoint {path} has parameter shapes {got}, "
                        f"which do not fit {d} features")
+    for name in ("first_moment", "second_moment"):
+        moments = {k: np.shape(v)
+                   for k, v in getattr(optimizer, name, {}).items()}
+        # empty before the first step, one moment per parameter after it
+        if moments not in ({}, got):
+            raise CliError(f"checkpoint {path} has Adam {name} shapes "
+                           f"{moments}, which do not fit parameter shapes "
+                           f"{got}")
     return reward, optimizer, iteration
 
 
@@ -325,6 +333,10 @@ def cmd_bench(args):
         suite.repeats = args.repeats
     if args.no_warmup:
         suite.warmup = False
+    try:
+        suite.check()
+    except ValueError as exc:
+        raise CliError(f"invalid suite: {exc}")
     records = run_benchmark(suite, output_dir=args.out)
     ok = [r for r in records if not r.error]
     failed = [r for r in records if r.error]

@@ -32,7 +32,6 @@ class VisitationResult:
 
     per_step: np.ndarray
     total: np.ndarray
-    horizon: int
 
 
 def forward_pass(model, policy, horizon):
@@ -51,8 +50,7 @@ def forward_pass(model, policy, horizon):
     weights[sorted(model.goal_states)] = 0.0
     layers = model.transitions.push_forward(weights, model.initial_dist,
                                             horizon)
-    return VisitationResult(per_step=layers, total=layers.sum(axis=0),
-                            horizon=horizon)
+    return VisitationResult(per_step=layers, total=layers.sum(axis=0))
 
 
 def demo_state_visits(trajectories, n_states):
@@ -64,11 +62,6 @@ def demo_state_visits(trajectories, n_states):
     for traj in trajectories:
         np.add.at(visits, traj.states, 1.0)
     return visits / len(trajectories)
-
-
-def feature_expectations_from_demos(trajectories, features):
-    """Per-trajectory sums of state features, averaged over trajectories."""
-    return features.values.T @ demo_state_visits(trajectories, features.values.shape[0])
 
 
 def feature_expectations_from_visitation(vis, features):
@@ -184,14 +177,12 @@ def train_maxent(model, trajectories, reward_param, optimizer, iterations,
 
 
 def train_ccp(model, trajectories, reward_param, optimizer, iterations,
-              horizon=None, smoothing=None, ccp_table=None, start_iteration=0):
+              horizon=None, smoothing=None, start_iteration=0):
     """CCP loop: choice probabilities estimated once, the value operator
     built once, and only matrix arithmetic inside the iteration."""
     t_setup = time.perf_counter()
-    if ccp_table is None:
-        ccp_table = estimate_ccp(trajectories, model.n_states, model.n_actions,
-                                 smoothing)
-    op = build_operator(model, ccp_table)
+    op = build_operator(model, estimate_ccp(trajectories, model.n_states,
+                                            model.n_actions, smoothing))
     setup_seconds = time.perf_counter() - t_setup
     return _train("ccp", lambda rewards: exante_value(op, rewards),
                   model, trajectories, reward_param, optimizer, iterations,

@@ -8,7 +8,6 @@ probability p. Off-grid moves leave the agent in place.
 """
 
 import json
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +26,6 @@ class GridSpec:
     n: int
     wind: float = 0.3
     obstacle_density: float = 0.1
-    target: tuple = None  # fixed-target only; defaults to the far corner
     macro_size: int = None  # macro-cell only
     seed: int = 0
 
@@ -36,7 +34,8 @@ class GridSpec:
             raise ValueError("grid side length must be at least 2")
         if not (0.0 <= self.wind < 1.0):
             raise ValueError("wind probability must lie in [0, 1)")
-        if self.macro_size is not None and self.n % self.macro_size != 0:
+        if self.macro_size is not None and (
+                self.macro_size < 1 or self.n % self.macro_size != 0):
             raise ValueError("macro_size must divide the grid side length")
 
 
@@ -107,24 +106,9 @@ def _windy_transitions(n, wind, n_actions=4, absorbing=()):
     return TransitionModel.from_triplets(n_states, triplets)
 
 
-def _reachable_everywhere(n, target):
-    """All cells can reach the target via 4-connected moves; true for any
-    full grid, kept as a guard in case the motion model changes."""
-    seen = {target}
-    queue = deque([target])
-    while queue:
-        x = queue.popleft()
-        row, col = divmod(x, n)
-        for move in MOVES:
-            r, c = row + move[0], col + move[1]
-            if 0 <= r < n and 0 <= c < n and r * n + c not in seen:
-                seen.add(r * n + c)
-                queue.append(r * n + c)
-    return len(seen) == n * n
-
-
 def build_fixed_target(spec, discount=0.9):
-    """Navigation grid: +1 at the absorbing target, -1 on obstacle cells.
+    """Navigation grid: +1 at the absorbing target in the far corner
+    (row n-1, column n-1), -1 on obstacle cells.
 
     Obstacles are penalty cells, not walls; they never coincide with the
     target. Features per cell: negated normalized Manhattan distance to the
@@ -132,12 +116,8 @@ def build_fixed_target(spec, discount=0.9):
     """
     n = spec.n
     n_states = n * n
-    target_rc = spec.target if spec.target is not None else (n - 1, n - 1)
+    target_rc = (n - 1, n - 1)
     target = target_rc[0] * n + target_rc[1]
-    if not (0 <= target_rc[0] < n and 0 <= target_rc[1] < n):
-        raise ValueError(f"target cell {target_rc} outside the grid")
-    if not _reachable_everywhere(n, target):
-        raise ValueError("target unreachable from some cell")
 
     rng = np.random.default_rng(spec.seed)
     n_obstacles = int(round(spec.obstacle_density * n_states))
@@ -268,27 +248,37 @@ def build_objectworld(spec, discount=0.9):
     return model, true_reward
 
 
-def build(kind, n, discount=0.9, seed=0, wind=0.3, obstacle_density=0.1,
-          macro_size=2, n_colors=2, n_objects=None):
-    """An environment of one kind: "fixed", "macro" or "objectworld".
+def make_spec(kind, n, seed=0, wind=0.3, obstacle_density=0.1, macro_size=2,
+              n_colors=2, n_objects=None):
+    """The spec of an environment of one kind: "fixed", "macro" or
+    "objectworld".
 
-    Returns (model, true_reward). Each kind reads only its own options:
-    wind and obstacle density for the fixed-target grid, wind and macro size
-    for the macro-cell grid, colors and objects for the object grid. Raises
-    ValueError for an unknown kind or an invalid spec.
+    Each kind reads only its own options: wind and obstacle density for the
+    fixed-target grid, wind and macro size for the macro-cell grid, colors
+    and objects for the object grid. Raises ValueError for an unknown kind
+    or an invalid spec.
     """
     if kind == "fixed":
-        spec = GridSpec(n=n, wind=wind, obstacle_density=obstacle_density,
+        return GridSpec(n=n, wind=wind, obstacle_density=obstacle_density,
                         seed=seed)
+    if kind == "macro":
+        return GridSpec(n=n, wind=wind, macro_size=macro_size, seed=seed)
+    if kind == "objectworld":
+        return ObjectworldSpec(n=n, n_colors=n_colors, n_objects=n_objects,
+                               seed=seed)
+    raise ValueError(f"unknown environment kind {kind!r}")
+
+
+def build(kind, n, discount=0.9, **options):
+    """(model, true_reward) of the environment ``make_spec(kind, n,
+    **options)`` describes; raises ValueError for an unknown kind or an
+    invalid spec."""
+    spec = make_spec(kind, n, **options)
+    if kind == "fixed":
         return build_fixed_target(spec, discount=discount)
     if kind == "macro":
-        spec = GridSpec(n=n, wind=wind, macro_size=macro_size, seed=seed)
         return build_macro_cell(spec, discount=discount)
-    if kind == "objectworld":
-        spec = ObjectworldSpec(n=n, n_colors=n_colors, n_objects=n_objects,
-                               seed=seed)
-        return build_objectworld(spec, discount=discount)
-    raise ValueError(f"unknown environment kind {kind!r}")
+    return build_objectworld(spec, discount=discount)
 
 
 def default_traj_length(kind, n):

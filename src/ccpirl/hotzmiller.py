@@ -10,9 +10,7 @@ The inverse depends only on sigma, beta, and T, so it is built once and
 reused for every reward evaluation. F is sparse (it has the non-zeros of
 the transitions), built by ``TransitionModel.weighted`` on the pattern
 the forward pass reads. The operator factorizes (I - beta*F) once with a
-sparse LU and back-substitutes per reward. Solving v = b + beta*F*v by
-successive approximation (``iterative_inverse_apply``) is kept as the
-reference the factorized solve is tested against.
+sparse LU and back-substitutes per reward.
 """
 
 from dataclasses import dataclass
@@ -21,19 +19,14 @@ import numpy as np
 import scipy.sparse
 
 from .ccp import expected_shock
-from .errors import MaxSweepsExceeded, SingularMatrix
+from .errors import SingularMatrix
 from .instrumentation import counters
 from .model import ExAnteValue
-
-ITERATIVE_TOLERANCE = 1e-8
-ITERATIVE_MAX_SWEEPS = 1_000_000
 
 
 @dataclass
 class HotzMillerOperator:
-    beta: float
     ccp: object
-    policy_transition: scipy.sparse.csc_matrix  # F, row-stochastic
     shock_correction: np.ndarray  # (|X|, |A|)
     lu: "scipy.sparse.linalg.SuperLU"  # of I - beta*F
 
@@ -61,9 +54,7 @@ def build_operator(model, ccp):
     shock_correction = expected_shock(ccp)
     counters.factorizations += 1
     return HotzMillerOperator(
-        beta=model.discount,
         ccp=ccp,
-        policy_transition=F,
         shock_correction=shock_correction,
         lu=factorize(F, model.discount),
     )
@@ -80,26 +71,3 @@ def exante_value(op, rewards):
     counters.exante_evals += 1
     return ExAnteValue(op.lu.solve(weighted_flow_reward(op, rewards)))
 
-
-def iterative_inverse_apply(F, beta, b, tolerance=ITERATIVE_TOLERANCE,
-                            max_sweeps=ITERATIVE_MAX_SWEEPS):
-    """Solve v = b + beta*F*v by successive approximation.
-
-    Stops when the residual drops below tolerance*(1-beta), which bounds the
-    error of v itself (not just the residual) by the tolerance.
-    """
-    b = np.asarray(b, dtype=float)
-    threshold = tolerance * (1.0 - beta)
-    v = b.copy()
-    for _ in range(max_sweeps):
-        v_next = b + beta * (F @ v)
-        residual = np.max(np.abs(v_next - v))
-        v = v_next
-        if residual < threshold:
-            return v
-    raise MaxSweepsExceeded(
-        f"successive approximation did not reach residual {threshold:g} "
-        f"in {max_sweeps} sweeps (residual {residual:g})",
-        last_iterate=v,
-        residual=residual,
-    )

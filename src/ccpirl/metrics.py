@@ -7,18 +7,18 @@ benchmark harness times the two trainers on identical demonstrations and
 reports paired speedups as CSV.
 """
 
+import dataclasses
 import json
 import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import envs
+from . import envs, softdp
 from .errors import EmptyData, MaxSweepsExceeded
 from .hotzmiller import factorize
 from .model import SoftPolicy, check_trajectories
 from .rewards import initial_reward, reward_table
-from .softdp import solve_policy
 
 BENCH_CSV_HEADER = (
     "algorithm,env,n_states,n_actions,beta,iterations,trajectories,"
@@ -47,9 +47,11 @@ def nll(policy, trajectories):
 
 def soft_optimal_policy(model, rewards):
     """The policy a learned reward is scored by: soft VI on the reward, then
-    the softmax of its choice values."""
-    _, policy, _ = solve_policy(model, rewards)
-    return policy
+    the softmax of its choice values. The three steps are looked up on
+    ``softdp`` at call time, so that a wrapper set there sees them."""
+    vbar, _ = softdp.solve_soft_vi(model, rewards)
+    return softdp.policy_from_values(
+        softdp.choice_values(model, rewards, vbar))
 
 
 def uniform_policy(n_states, n_actions):
@@ -158,6 +160,27 @@ class BenchCell:
     n_colors: int = 2
     reward_model: str = "linear"  # "linear" or "mlp"
 
+    def check(self):
+        """Raise ValueError unless the cell can run: each field of its
+        annotated type (an int will do for beta) and within range."""
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            allowed = (float, int) if f.type is float else (f.type,)
+            if type(value) not in allowed:
+                raise ValueError(f"cell {f.name} must be of type "
+                                 f"{f.type.__name__}, got {value!r}")
+        in_range = {"beta": 0 <= self.beta < 1,
+                    "iterations": self.iterations >= 0,
+                    "n_trajectories": self.n_trajectories >= 1,
+                    "seed": self.seed >= 0,
+                    "reward_model": self.reward_model in ("linear", "mlp")}
+        for name, ok in in_range.items():
+            if not ok:
+                raise ValueError(f"cell {name} {getattr(self, name)!r} is "
+                                 "out of range")
+        envs.make_spec(self.env, self.n, seed=self.seed,
+                       macro_size=self.macro_size, n_colors=self.n_colors)
+
 
 @dataclass
 class BenchSuiteConfig:
@@ -165,6 +188,15 @@ class BenchSuiteConfig:
     cells: list
     repeats: int = 3
     warmup: bool = True
+
+    def check(self):
+        """Raise ValueError for a suite that cannot run, every cell checked,
+        so that it can be refused before any cell runs."""
+        if type(self.repeats) is not int or self.repeats < 1:
+            raise ValueError(f"suite repeats must be a positive integer, "
+                             f"got {self.repeats!r}")
+        for cell in self.cells:
+            cell.check()
 
 
 @dataclass

@@ -85,12 +85,6 @@ class TransitionModel:
     def _block(self, a):
         return self.csr[a * self.n_states:(a + 1) * self.n_states]
 
-    @property
-    def per_action(self):
-        """Read-only dense T(a) matrices, derived on access (for tests)."""
-        return tuple(_frozen(self._block(a).toarray())
-                     for a in range(self.n_actions))
-
     def next_values(self, v):
         """(|X|, |A|) table of (T(a) v)(x), all actions in one product.
 

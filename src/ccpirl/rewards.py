@@ -9,7 +9,6 @@ move along it.
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -108,43 +107,6 @@ def reward_table(model, rewards):
     return broadcast_rewards(r, model.n_actions) if r.ndim == 1 else r
 
 
-@dataclass
-class AdamState:
-    step_size: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    first_moment: dict = field(default_factory=dict)
-    second_moment: dict = field(default_factory=dict)
-    timestep: int = 0
-
-
-def adam_step(state, params, grads):
-    """One bias-corrected Adam ascent step over a dict of arrays.
-
-    Returns the updated parameter dict; moments and timestep are updated on
-    the state in place.
-    """
-    state.timestep += 1
-    t = state.timestep
-    out = {}
-    for name, p in params.items():
-        g = np.asarray(grads[name], dtype=float)
-        m = state.first_moment.get(name)
-        v = state.second_moment.get(name)
-        if m is None:
-            m = np.zeros_like(g)
-            v = np.zeros_like(g)
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * g * g
-        state.first_moment[name] = m
-        state.second_moment[name] = v
-        m_hat = m / (1.0 - state.beta1 ** t)
-        v_hat = v / (1.0 - state.beta2 ** t)
-        out[name] = p + state.step_size * m_hat / (np.sqrt(v_hat) + state.epsilon)
-    return out
-
-
 class GradientAscent:
     """Plain ascent with a fixed step, used for the linear reward model."""
 
@@ -163,44 +125,60 @@ class GradientAscent:
 
 
 class Adam:
-    """Stateful wrapper around adam_step for use in the training loops."""
+    """Bias-corrected Adam ascent over a dict of arrays, used for the MLP
+    reward. Moments start at zero for a parameter with none yet."""
 
     def __init__(self, step_size=1e-3, beta1=0.9, beta2=0.999, epsilon=1e-8):
-        self.state = AdamState(step_size=step_size, beta1=beta1,
-                               beta2=beta2, epsilon=epsilon)
-
-    @property
-    def step_size(self):
-        return self.state.step_size
+        self.step_size = step_size
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.epsilon = epsilon
+        self.first_moment = {}
+        self.second_moment = {}
+        self.timestep = 0
 
     def step(self, params, grads):
-        return adam_step(self.state, params, grads)
+        self.timestep += 1
+        t = self.timestep
+        out = {}
+        for name, p in params.items():
+            g = np.asarray(grads[name], dtype=float)
+            m = self.first_moment.get(name, np.zeros_like(g))
+            v = self.second_moment.get(name, np.zeros_like(g))
+            m = self.beta1 * m + (1.0 - self.beta1) * g
+            v = self.beta2 * v + (1.0 - self.beta2) * g * g
+            self.first_moment[name] = m
+            self.second_moment[name] = v
+            m_hat = m / (1.0 - self.beta1 ** t)
+            v_hat = v / (1.0 - self.beta2 ** t)
+            out[name] = p + self.step_size * m_hat / (np.sqrt(v_hat)
+                                                      + self.epsilon)
+        return out
 
     def state_dict(self):
-        s = self.state
         return {
             "kind": "adam",
-            "step_size": s.step_size,
-            "beta1": s.beta1,
-            "beta2": s.beta2,
-            "epsilon": s.epsilon,
-            "timestep": s.timestep,
-            "first_moment": {k: v.tolist() for k, v in s.first_moment.items()},
-            "second_moment": {k: v.tolist() for k, v in s.second_moment.items()},
+            "step_size": self.step_size,
+            "beta1": self.beta1,
+            "beta2": self.beta2,
+            "epsilon": self.epsilon,
+            "timestep": self.timestep,
+            "first_moment": {k: v.tolist()
+                             for k, v in self.first_moment.items()},
+            "second_moment": {k: v.tolist()
+                              for k, v in self.second_moment.items()},
         }
 
     def load_state_dict(self, data):
-        self.state = AdamState(
-            step_size=float(data["step_size"]),
-            beta1=float(data["beta1"]),
-            beta2=float(data["beta2"]),
-            epsilon=float(data["epsilon"]),
-            first_moment={k: np.asarray(v, dtype=float)
-                          for k, v in data["first_moment"].items()},
-            second_moment={k: np.asarray(v, dtype=float)
-                           for k, v in data["second_moment"].items()},
-            timestep=int(data["timestep"]),
-        )
+        self.step_size = float(data["step_size"])
+        self.beta1 = float(data["beta1"])
+        self.beta2 = float(data["beta2"])
+        self.epsilon = float(data["epsilon"])
+        self.timestep = int(data["timestep"])
+        self.first_moment = {k: np.asarray(v, dtype=float)
+                             for k, v in data["first_moment"].items()}
+        self.second_moment = {k: np.asarray(v, dtype=float)
+                              for k, v in data["second_moment"].items()}
 
 
 def initial_reward(kind, feature_dim, lr=None, hidden_width=32, seed=0):

@@ -51,13 +51,6 @@ def _values(vbar):
     return vbar.values if isinstance(vbar, ExAnteValue) else np.asarray(vbar, dtype=float)
 
 
-def soft_bellman_backup(model, rewards, vbar):
-    """One application of the soft Bellman operator."""
-    r = _check_rewards(model, rewards)
-    q = r + model.discount * model.transitions.next_values(_values(vbar))
-    return ExAnteValue(logsumexp_rows(q) + EULER_GAMMA)
-
-
 def solve_soft_vi(model, rewards, config=None, v0=None):
     """Iterate the soft backup to its fixed point.
 
@@ -102,9 +95,3 @@ def policy_from_values(q):
     e = np.exp(q - q.max(axis=1, keepdims=True))
     return SoftPolicy(e / e.sum(axis=1, keepdims=True))
 
-
-def solve_policy(model, rewards, config=None):
-    """Convenience: fixed point plus its induced policy in one call."""
-    vbar, sweeps = solve_soft_vi(model, rewards, config)
-    pol = policy_from_values(choice_values(model, rewards, vbar))
-    return vbar, pol, sweeps

@@ -3,8 +3,14 @@ import pytest
 import scipy.sparse
 from hypothesis import strategies as st
 
+from ccpirl.engine import demo_state_visits
+from ccpirl.errors import MaxSweepsExceeded
 from ccpirl.instrumentation import counters
-from ccpirl.model import DdcModel, FeatureMatrix, TransitionModel
+from ccpirl.model import DdcModel, ExAnteValue, FeatureMatrix, TransitionModel
+from ccpirl.softdp import EULER_GAMMA, choice_values, logsumexp_rows
+
+ITERATIVE_TOLERANCE = 1e-8
+ITERATIVE_MAX_SWEEPS = 1_000_000
 
 
 @pytest.fixture(autouse=True)
@@ -12,6 +18,58 @@ def _reset_counters():
     counters.reset()
     yield
     counters.reset()
+
+
+# References the package's fast paths are tested against.
+
+
+def iterative_inverse_apply(F, beta, b, tolerance=ITERATIVE_TOLERANCE,
+                            max_sweeps=ITERATIVE_MAX_SWEEPS):
+    """Solve v = b + beta*F*v by successive approximation, the reference for
+    the Hotz-Miller operator's factorized solve.
+
+    Stops when the residual drops below tolerance*(1-beta), which bounds the
+    error of v itself (not just the residual) by the tolerance.
+    """
+    b = np.asarray(b, dtype=float)
+    threshold = tolerance * (1.0 - beta)
+    v = b.copy()
+    for _ in range(max_sweeps):
+        v_next = b + beta * (F @ v)
+        residual = np.max(np.abs(v_next - v))
+        v = v_next
+        if residual < threshold:
+            return v
+    raise MaxSweepsExceeded(
+        f"successive approximation did not reach residual {threshold:g} "
+        f"in {max_sweeps} sweeps (residual {residual:g})",
+        last_iterate=v,
+        residual=residual,
+    )
+
+
+def soft_bellman_backup(model, rewards, vbar):
+    """One application of the soft Bellman operator, the step that
+    ``solve_soft_vi`` iterates."""
+    q = choice_values(model, rewards, vbar)
+    return ExAnteValue(logsumexp_rows(q) + EULER_GAMMA)
+
+
+def per_action(transitions):
+    """Read-only dense T(a) matrices of a TransitionModel."""
+    n = transitions.n_states
+    mats = []
+    for a in range(transitions.n_actions):
+        mat = transitions.csr[a * n:(a + 1) * n].toarray()
+        mat.setflags(write=False)
+        mats.append(mat)
+    return tuple(mats)
+
+
+def feature_expectations_from_demos(trajectories, features):
+    """Per-trajectory sums of state features, averaged over trajectories."""
+    return features.values.T @ demo_state_visits(trajectories,
+                                                 features.values.shape[0])
 
 
 def random_transitions(rng, n_states, n_actions):

@@ -15,7 +15,6 @@ from ccpirl.ccp import estimate_ccp
 from ccpirl.engine import (
     _gradient,
     demo_state_visits,
-    feature_expectations_from_demos,
     forward_pass,
     train_ccp,
     train_maxent,
@@ -23,7 +22,7 @@ from ccpirl.engine import (
 from ccpirl.envs import GridSpec, build_fixed_target, build_macro_cell, \
     generate_experts
 from ccpirl.hotzmiller import build_operator, exante_value, \
-    iterative_inverse_apply, weighted_flow_reward
+    weighted_flow_reward
 from ccpirl.instrumentation import counters
 from ccpirl.metrics import evd, uniform_policy
 from ccpirl.model import (
@@ -37,9 +36,10 @@ from ccpirl.model import (
 from ccpirl.rewards import GradientAscent, LinearReward, MlpReward, \
     broadcast_rewards, mlp_backward, mlp_forward
 from ccpirl.softdp import SoftDpConfig, choice_values, policy_from_values, \
-    soft_bellman_backup, solve_soft_vi
+    solve_soft_vi
 
-from conftest import random_model
+from conftest import feature_expectations_from_demos, \
+    iterative_inverse_apply, random_model, soft_bellman_backup
 
 
 def report(tag, ok, detail):
@@ -350,7 +350,8 @@ def test_ac9_direct_vs_iterative():
         r = rng.standard_normal((n, model.n_actions))
         op = build_operator(model, table)
         vd = exante_value(op, r).values
-        vi = iterative_inverse_apply(op.policy_transition, op.beta,
+        vi = iterative_inverse_apply(model.transitions.weighted(sigma),
+                                     model.discount,
                                      weighted_flow_reward(op, r))
         worst = max(worst, float(np.max(np.abs(vd - vi))))
     report("AC09", worst < 1e-6,

@@ -318,6 +318,27 @@ def test_bench_custom_suite_file(tmp_path):
     assert len(lines) == 5  # header + 2 cells x 2 algorithms x 1 repeat
 
 
+@pytest.mark.parametrize("bad_cell, repeats", [
+    ({"env": "fixd", "n": 3}, 1),
+    ({"env": "fixed", "n": "8"}, 1),
+    ({"env": "fixed", "n": 3}, 0),
+], ids=["unknown-env", "string-n", "zero-repeats"])
+def test_bench_suite_that_cannot_run_runs_no_cell(tmp_path, capsys,
+                                                  bad_cell, repeats):
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({
+        "name": "tiny", "repeats": repeats, "warmup": False,
+        "cells": [{"env": "fixed", "n": 3, "iterations": 2,
+                   "n_trajectories": 6}, bad_cell],
+    }))
+    out = tmp_path / "bench"
+    capsys.readouterr()
+    assert run("bench", "--suite", str(suite), "--out", str(out)) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert not out.exists()
+
+
 def test_train_is_deterministic_given_config(tmp_path):
     env = gen_env(tmp_path)
     demos = gen_experts(tmp_path, env)
@@ -375,6 +396,18 @@ THREE_WEIGHTS = json.dumps({
     "optimizer": {"kind": "sgd", "step_size": 0.1}, "iteration": 1,
     "seed": 0})
 
+# an MLP checkpoint (hidden width 4) that fits the 2-feature grid, but whose
+# Adam first moment of w1 is 3 x 4
+_ZERO_MLP = {"w1": [[0.0] * 4] * 2, "b1": [0.0] * 4, "w2": [0.0] * 4,
+             "b2": [0.0]}
+BAD_MOMENT = json.dumps({
+    "reward_kind": "mlp", "params": _ZERO_MLP,
+    "optimizer": {"kind": "adam", "step_size": 1e-3, "beta1": 0.9,
+                  "beta2": 0.999, "epsilon": 1e-8, "timestep": 1,
+                  "first_moment": dict(_ZERO_MLP, w1=[[0.0] * 4] * 3),
+                  "second_moment": _ZERO_MLP},
+    "iteration": 1, "seed": 0})
+
 
 @pytest.mark.parametrize("content, command", [
     ('{"bogus": 1}', "eval"),
@@ -382,11 +415,14 @@ THREE_WEIGHTS = json.dumps({
     (None, "resume"),
     (THREE_WEIGHTS, "eval"),
     (THREE_WEIGHTS, "resume"),
+    (BAD_MOMENT, "eval"),
+    (BAD_MOMENT, "resume"),
     ("not json {", "config"),
     ("not json {", "gen-experts"),
     ("not json {", "bench"),
 ], ids=["bogus-checkpoint", "not-json-resume", "missing-resume",
-        "three-weight-eval", "three-weight-resume", "config",
+        "three-weight-eval", "three-weight-resume", "adam-moment-eval",
+        "adam-moment-resume", "config",
         "true-reward", "suite"])
 def test_bad_input_files_are_config_errors(tmp_path, capsys, content,
                                            command):

@@ -7,7 +7,6 @@ from ccpirl.ccp import SmoothingConfig
 from ccpirl.engine import (
     default_horizon,
     demo_state_visits,
-    feature_expectations_from_demos,
     feature_expectations_from_visitation,
     forward_pass,
     load_checkpoint,
@@ -33,7 +32,8 @@ from ccpirl.rewards import Adam, GradientAscent, LinearReward, MlpReward, \
 from ccpirl.softdp import SoftDpConfig, choice_values, policy_from_values, \
     solve_soft_vi
 
-from conftest import random_model
+from conftest import feature_expectations_from_demos, per_action, \
+    random_model
 
 
 def chain_model():
@@ -75,7 +75,7 @@ def test_forward_pass_matches_exhaustive_enumeration():
     vis = forward_pass(model, probs, n)
 
     total = np.zeros(3)
-    mats = model.transitions.per_action
+    mats = per_action(model.transitions)
     for seq in itertools.product(range(3), repeat=n + 1):
         p = model.initial_dist[seq[0]]
         for t in range(n):
@@ -297,7 +297,7 @@ def test_checkpoint_round_trip_mlp(tmp_path):
     loaded_reward, loaded_opt, _, _ = load_checkpoint(path)
     assert np.allclose(loaded_reward.w1, reward.w1)
     assert np.allclose(loaded_reward.b2, reward.b2)
-    assert loaded_opt.state.timestep == 1
+    assert loaded_opt.timestep == 1
 
 
 def test_resumed_training_matches_uninterrupted(tmp_path):
@@ -336,19 +336,24 @@ def test_resumed_mlp_training_matches_uninterrupted(tmp_path):
                            atol=1e-12)
 
 
-def test_precomputed_ccp_table_is_respected():
+def test_ccp_smoothing_reaches_the_operator():
+    # the first iteration scores the zero reward under the operator built
+    # from the CCPs that train_ccp's smoothing estimates
     model, true_reward = build_fixed_target(GridSpec(n=4, seed=0))
     demos = generate_experts(model, true_reward, 16, 12, seed=2)
     from ccpirl.ccp import estimate_ccp
+    from ccpirl.metrics import nll
 
-    table = estimate_ccp(demos, model.n_states, model.n_actions,
-                         SmoothingConfig(alpha=0.5))
-    r1 = LinearReward(np.zeros(2))
-    rep1 = train_ccp(model, demos, r1, GradientAscent(0.1), 3,
-                     ccp_table=table)
-    r2 = LinearReward(np.zeros(2))
-    rep2 = train_ccp(model, demos, r2, GradientAscent(0.1), 3,
-                     smoothing=SmoothingConfig(alpha=0.5))
-    assert np.allclose(r1.theta, r2.theta)
-    assert np.allclose([a.nll for a in rep1.records],
-                       [b.nll for b in rep2.records])
+    zero = np.zeros((model.n_states, model.n_actions))
+    nlls = []
+    for alpha in (0.01, 0.5):
+        smoothing = SmoothingConfig(alpha=alpha)
+        report = train_ccp(model, demos, LinearReward(np.zeros(2)),
+                           GradientAscent(0.1), 1, smoothing=smoothing)
+        op = build_operator(model, estimate_ccp(
+            demos, model.n_states, model.n_actions, smoothing))
+        policy = policy_from_values(
+            choice_values(model, zero, exante_value(op, zero)))
+        assert report.records[0].nll == nll(policy, demos)
+        nlls.append(report.records[0].nll)
+    assert nlls[0] != nlls[1]

@@ -22,7 +22,7 @@ from ccpirl.model import DdcModel, FeatureMatrix, TransitionModel, \
     validate_model
 from ccpirl.rewards import broadcast_rewards
 
-from conftest import random_model
+from conftest import per_action, random_model
 
 
 def test_spec_validation():
@@ -39,7 +39,7 @@ def test_spec_validation():
 def test_no_wind_interior_move_is_deterministic():
     model, _ = build_fixed_target(GridSpec(n=4, wind=0.0, obstacle_density=0.0))
     # action 0 is north; interior cell (2, 1) = state 9 moves to (1, 1) = 5
-    row = model.transitions.per_action[0][9]
+    row = per_action(model.transitions)[0][9]
     assert row[5] == 1.0 and row.sum() == 1.0
 
 
@@ -48,7 +48,7 @@ def test_windy_corner_wall_bounce():
     model, _ = build_fixed_target(GridSpec(n=4, wind=wind, obstacle_density=0.0))
     # top-left corner, action north (into the wall): intended move stays,
     # slip into north and west also stay, slip south and east leave
-    row = model.transitions.per_action[0][0]
+    row = per_action(model.transitions)[0][0]
     expect_stay = (1.0 - wind) + 2 * wind / 4.0
     assert abs(row[0] - expect_stay) < 1e-12
     assert abs(row[1] - wind / 4.0) < 1e-12  # east neighbor
@@ -82,7 +82,7 @@ def test_windy_transitions_equal_dense_construction_bitwise():
     for model, n, absorbing in ((fixed, 6, fixed.goal_states),
                                 (world, 5, ())):
         want = _dense_windy(n, 0.3, model.n_actions, absorbing)
-        for got, mat in zip(model.transitions.per_action, want):
+        for got, mat in zip(per_action(model.transitions), want):
             assert np.array_equal(got, mat)
 
 
@@ -94,7 +94,7 @@ def test_transition_rows_sum_to_one_everywhere():
     ]
     for build in builders:
         model, _ = build()
-        for mat in model.transitions.per_action:
+        for mat in per_action(model.transitions):
             assert np.allclose(mat.sum(axis=1), 1.0, atol=1e-12)
 
 
@@ -112,7 +112,7 @@ def test_fixed_target_is_absorbing_and_rewarded():
     model, true_reward = build_fixed_target(spec)
     target = 24  # far corner by default
     assert target in model.goal_states
-    for mat in model.transitions.per_action:
+    for mat in per_action(model.transitions):
         assert mat[target, target] == 1.0
     assert true_reward.values[target] == 1.0
     obstacles = true_reward.provenance["obstacles"]
@@ -132,9 +132,11 @@ def test_fixed_target_features():
         assert feats[x, 1] == (1.0 if x in obstacles else 0.0)
 
 
-def test_fixed_target_rejects_bad_target():
-    with pytest.raises(ValueError):
-        build_fixed_target(GridSpec(n=4, target=(4, 0)))
+def test_fixed_target_is_the_far_corner():
+    model, true_reward = build_fixed_target(GridSpec(n=4, seed=0))
+    assert model.goal_states == {15}
+    assert true_reward.values[15] == 1.0
+    assert true_reward.provenance["target"] == [3, 3]
 
 
 def test_macro_cell_feature_dimension():
@@ -214,7 +216,7 @@ def test_objectworld_missing_color_distance_is_max():
 def test_objectworld_stay_action_is_deterministic():
     model, _ = build_objectworld(ObjectworldSpec(n=6, seed=0))
     assert model.n_actions == 5
-    assert np.array_equal(model.transitions.per_action[4], np.eye(36))
+    assert np.array_equal(per_action(model.transitions)[4], np.eye(36))
 
 
 def test_default_traj_length():

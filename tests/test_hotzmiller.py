@@ -2,12 +2,8 @@ import numpy as np
 import pytest
 
 from ccpirl.errors import MaxSweepsExceeded
-from ccpirl.hotzmiller import (
-    build_operator,
-    exante_value,
-    iterative_inverse_apply,
-    weighted_flow_reward,
-)
+from ccpirl.hotzmiller import build_operator, exante_value, \
+    weighted_flow_reward
 from ccpirl.instrumentation import counters
 from ccpirl.model import CCPTable, DdcModel, FeatureMatrix, TransitionModel
 from ccpirl.rewards import broadcast_rewards
@@ -19,7 +15,7 @@ from ccpirl.softdp import (
     solve_soft_vi,
 )
 
-from conftest import random_model
+from conftest import iterative_inverse_apply, random_model
 
 
 def exact_ccp_table(model, rewards, tolerance=1e-12):
@@ -64,8 +60,7 @@ def test_identical_transitions_collapse_to_shared_matrix():
     )
     sigma = rng.random((3, 2)) + 0.1
     sigma /= sigma.sum(axis=1, keepdims=True)
-    op = build_operator(model, CCPTable(sigma, np.zeros((3, 2), dtype=np.int64)))
-    assert np.allclose(op.policy_transition.toarray(), mat)
+    assert np.allclose(model.transitions.weighted(sigma).toarray(), mat)
 
 
 def test_inverse_multiplies_back_to_identity():
@@ -74,7 +69,8 @@ def test_inverse_multiplies_back_to_identity():
     sigma = rng.random((6, 3)) + 0.1
     sigma /= sigma.sum(axis=1, keepdims=True)
     op = build_operator(model, CCPTable(sigma, np.zeros((6, 3), dtype=np.int64)))
-    system = np.eye(6) - model.discount * op.policy_transition.toarray()
+    system = np.eye(6) - model.discount \
+        * model.transitions.weighted(sigma).toarray()
     assert np.allclose(op.lu.solve(np.eye(6)) @ system, np.eye(6), atol=1e-8)
 
 
@@ -95,9 +91,9 @@ def test_policy_transition_is_row_stochastic():
     model = random_model(rng, n_states=7, n_actions=4)
     sigma = rng.random((7, 4)) + 0.1
     sigma /= sigma.sum(axis=1, keepdims=True)
-    op = build_operator(model, CCPTable(sigma, np.zeros((7, 4), dtype=np.int64)))
-    assert np.allclose(op.policy_transition.toarray().sum(axis=1), 1.0, atol=1e-12)
-    assert np.all(op.policy_transition.toarray() >= 0.0)
+    F = model.transitions.weighted(sigma).toarray()
+    assert np.allclose(F.sum(axis=1), 1.0, atol=1e-12)
+    assert np.all(F >= 0.0)
 
 
 def test_scalar_value_matches_soft_vi():
@@ -199,8 +195,8 @@ def test_modes_agree_on_model():
     r = rng.standard_normal((12, 3))
     op = build_operator(model, table)
     vd = exante_value(op, r).values
-    vi = iterative_inverse_apply(op.policy_transition, op.beta,
-                                 weighted_flow_reward(op, r))
+    vi = iterative_inverse_apply(model.transitions.weighted(sigma),
+                                 model.discount, weighted_flow_reward(op, r))
     assert np.max(np.abs(vd - vi)) < 1e-6
 
 

@@ -26,9 +26,9 @@ from ccpirl.metrics import (
 from ccpirl.model import DdcModel, FeatureMatrix, SoftPolicy, Trajectory, \
     TransitionModel
 from ccpirl.rewards import broadcast_rewards
-from ccpirl.softdp import solve_policy
+from ccpirl.softdp import choice_values, policy_from_values, solve_soft_vi
 
-from conftest import random_model
+from conftest import per_action, random_model
 
 
 def scalar_model(beta):
@@ -111,7 +111,7 @@ def test_hard_vi_matches_over_iteration():
     v = np.zeros(model.n_states)
     for _ in range(10000):
         q = r + 0.9 * np.column_stack(
-            [m @ v for m in model.transitions.per_action])
+            [m @ v for m in per_action(model.transitions)])
         v = q.max(axis=1)
     assert np.max(np.abs(values - v)) < 1e-8
 
@@ -139,7 +139,7 @@ def test_policy_evaluation_iterative_oracle():
     exact = policy_evaluation(model, r, probs)
     v = np.zeros(5)
     r_pi = np.sum(probs * r, axis=1)
-    t_pi = sum(probs[:, a, None] * model.transitions.per_action[a]
+    t_pi = sum(probs[:, a, None] * per_action(model.transitions)[a]
                for a in range(3))
     for _ in range(5000):
         v = r_pi + 0.9 * t_pi @ v
@@ -261,8 +261,7 @@ def test_soft_optimal_policy_beats_uniform():
     ]
     for model, true_reward in cases:
         r = broadcast_rewards(true_reward.values, model.n_actions)
-        _, policy, _ = solve_policy(model, r)
-        soft = evd(model, true_reward, policy)
+        soft = evd(model, true_reward, soft_optimal_policy(model, r))
         uni = evd(model, true_reward,
                   uniform_policy(model.n_states, model.n_actions))
         assert soft < uni
@@ -315,7 +314,9 @@ def test_benchmark_smoke_suite(tmp_path):
     for algorithm, trainer in (("maxent", train_maxent), ("ccp", train_ccp)):
         report = trainer(model, demos, LinearReward(np.zeros(2)),
                          GradientAscent(0.1), 2)
-        _, policy, _ = solve_policy(model, report.final_rewards)
+        rewards = report.final_rewards
+        vbar, _ = solve_soft_vi(model, rewards)
+        policy = policy_from_values(choice_values(model, rewards, vbar))
         for r in records:
             if r.algorithm == algorithm:
                 assert abs(r.nll - nll(policy, demos)) < 1e-12

@@ -18,7 +18,7 @@ from ccpirl.model import (
     validate_model,
 )
 
-from conftest import random_model
+from conftest import per_action, random_model
 
 
 def identity_model(beta=0.9):
@@ -95,7 +95,7 @@ def test_arrays_are_read_only():
     with pytest.raises(ValueError):
         model.initial_dist[0] = 1.0
     with pytest.raises(ValueError):
-        model.transitions.per_action[0][0, 0] = 0.0
+        model.transitions.csr.data[0] = 0.0
     with pytest.raises(ValueError):
         model.features.values[0, 0] = 9.0
 
@@ -128,7 +128,7 @@ def test_expected_next_value_matches_direct_summation():
     model = random_model(rng, n_states=3, n_actions=2)
     v = rng.standard_normal(3)
     for a in range(2):
-        mat = model.transitions.per_action[a]
+        mat = per_action(model.transitions)[a]
         oracle = np.array([sum(mat[i, j] * v[j] for j in range(3))
                            for i in range(3)])
         assert np.allclose(model.transitions.next_values(v)[:, a], oracle)
@@ -182,8 +182,8 @@ def test_model_round_trip(tmp_path):
     assert loaded.goal_states == model.goal_states
     assert np.allclose(loaded.features.values, model.features.values)
     for a in range(model.n_actions):
-        assert np.allclose(loaded.transitions.per_action[a],
-                           model.transitions.per_action[a])
+        assert np.allclose(per_action(loaded.transitions)[a],
+                           per_action(model.transitions)[a])
     assert validate_model(loaded) == []
 
 
@@ -193,7 +193,7 @@ def test_transitions_are_one_stacked_csr():
     csr = model.transitions.csr
     assert csr.format == "csr"
     assert csr.shape == (3 * 4, 4)
-    for a, mat in enumerate(model.transitions.per_action):
+    for a, mat in enumerate(per_action(model.transitions)):
         for x in range(4):
             assert np.array_equal(csr[a * 4 + x].toarray().ravel(), mat[x])
 
@@ -209,7 +209,7 @@ def test_triplet_round_trip_keeps_every_entry():
     model, _ = build_fixed_target(GridSpec(n=5, seed=0))
     rebuilt = TransitionModel.from_triplets(model.n_states,
                                             model.transitions.triplets())
-    for a, b in zip(rebuilt.per_action, model.transitions.per_action):
+    for a, b in zip(per_action(rebuilt), per_action(model.transitions)):
         assert np.array_equal(a, b)
 
 
@@ -222,8 +222,8 @@ def test_model_file_stores_sparse_triplets(tmp_path):
     assert len(blocks) == model.n_actions
     assert sum(len(b["values"]) for b in blocks) == model.transitions.csr.nnz
     loaded = load_model(path)
-    for a, b in zip(loaded.transitions.per_action,
-                    model.transitions.per_action):
+    for a, b in zip(per_action(loaded.transitions),
+                    per_action(model.transitions)):
         assert np.array_equal(a, b)
 
 
@@ -237,7 +237,7 @@ def test_load_rejects_dense_layout_with_regenerate_hint(tmp_path):
     model = identity_model()
     data = model_to_json(model)
     data["transitions"] = [m.ravel().tolist()
-                           for m in model.transitions.per_action]
+                           for m in per_action(model.transitions)]
     with pytest.raises(InvalidInput, match="gen-env"):
         load_model(_write(tmp_path / "m.json", data))
 

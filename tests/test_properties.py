@@ -13,12 +13,12 @@ import numpy as np
 from hypothesis import given, settings
 
 from ccpirl.hotzmiller import build_operator, exante_value, \
-    iterative_inverse_apply, weighted_flow_reward
+    weighted_flow_reward
 from ccpirl.model import CCPTable, FeatureMatrix, load_model, save_model
 from ccpirl.softdp import SoftDpConfig, choice_values, policy_from_values, \
     solve_soft_vi
 
-from conftest import sparse_models
+from conftest import iterative_inverse_apply, sparse_models
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -50,7 +50,8 @@ def test_sparse_lu_solve_matches_successive_approximation(case):
     r = rng.standard_normal((model.n_states, model.n_actions))
     op = build_operator(model, table)
     # successive approximation stops once its error is below 1e-8
-    iterative = iterative_inverse_apply(op.policy_transition, op.beta,
+    iterative = iterative_inverse_apply(model.transitions.weighted(sigma),
+                                        model.discount,
                                         weighted_flow_reward(op, r))
     assert np.max(np.abs(exante_value(op, r).values - iterative)) < 1e-8
 

@@ -3,11 +3,9 @@ import numpy as np
 from ccpirl.model import FeatureMatrix
 from ccpirl.rewards import (
     Adam,
-    AdamState,
     GradientAscent,
     LinearReward,
     MlpReward,
-    adam_step,
     broadcast_rewards,
     mlp_backward,
     mlp_forward,
@@ -102,17 +100,16 @@ def test_mlp_backward_matches_central_differences():
 
 
 def test_adam_zero_gradient_advances_timestep_only():
-    state = AdamState()
+    opt = Adam()
     params = {"theta": np.array([1.0, -2.0])}
-    out = adam_step(state, params, {"theta": np.zeros(2)})
+    out = opt.step(params, {"theta": np.zeros(2)})
     assert np.allclose(out["theta"], params["theta"])
-    assert state.timestep == 1
+    assert opt.timestep == 1
 
 
 def test_adam_first_step_is_signed_step_size():
-    state = AdamState(step_size=0.01)
     g = np.array([3.0, -0.2, 1e-4])
-    out = adam_step(state, {"theta": np.zeros(3)}, {"theta": g})
+    out = Adam(step_size=0.01).step({"theta": np.zeros(3)}, {"theta": g})
     # bias correction makes the first update ~ step_size * sign(g)
     assert np.allclose(out["theta"], 0.01 * np.sign(g), rtol=1e-3)
 

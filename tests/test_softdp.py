@@ -9,12 +9,10 @@ from ccpirl.softdp import (
     choice_values,
     logsumexp_rows,
     policy_from_values,
-    soft_bellman_backup,
-    solve_policy,
     solve_soft_vi,
 )
 
-from conftest import random_model
+from conftest import per_action, random_model, soft_bellman_backup
 
 
 def tiny_model(n_actions, beta):
@@ -51,7 +49,8 @@ def test_backup_matches_naive_unshifted_evaluation():
     for x in range(4):
         total = 0.0
         for a in range(3):
-            q = r[x, a] + model.discount * model.transitions.per_action[a][x] @ v
+            q = r[x, a] \
+                + model.discount * per_action(model.transitions)[a][x] @ v
             total += np.exp(q)
         naive[x] = np.log(total) + EULER_GAMMA
     assert np.allclose(out.values, naive, atol=1e-10)
@@ -152,7 +151,8 @@ def test_choice_values_direct_summation_oracle():
     for x in range(4):
         for a in range(3):
             expect = r[x, a] + model.discount * sum(
-                model.transitions.per_action[a][x, j] * v[j] for j in range(4))
+                per_action(model.transitions)[a][x, j] * v[j]
+                for j in range(4))
             assert abs(q[x, a] - expect) < 1e-12
 
 
@@ -188,9 +188,11 @@ def test_reward_shift_moves_value_not_policy():
     model = random_model(rng, n_states=5, n_actions=3, beta=0.9)
     r = rng.standard_normal((5, 3))
     cfg = SoftDpConfig(tolerance=1e-12)
-    v1, p1, _ = solve_policy(model, r, cfg)
     c = 2.5
-    v2, p2, _ = solve_policy(model, r + c, cfg)
+    v1, _ = solve_soft_vi(model, r, cfg)
+    v2, _ = solve_soft_vi(model, r + c, cfg)
+    p1 = policy_from_values(choice_values(model, r, v1))
+    p2 = policy_from_values(choice_values(model, r + c, v2))
     assert np.allclose(v2.values - v1.values, c / (1 - 0.9), atol=1e-8)
     assert np.allclose(p1.probs, p2.probs, atol=1e-9)
 

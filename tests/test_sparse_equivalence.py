@@ -1,8 +1,8 @@
 """The sparse transition operator against dense formulas.
 
 Every product the package takes through ``TransitionModel`` is recomputed
-here from the dense ``per_action`` view with plain numpy, on random dense
-models and on 8x8 grids, and must agree to 1e-12.
+here from the dense T(a) matrices (``conftest.per_action``) with plain
+numpy, on random dense models and on 8x8 grids, and must agree to 1e-12.
 """
 
 import hashlib
@@ -16,11 +16,11 @@ from ccpirl.engine import forward_pass
 from ccpirl.envs import GridSpec, ObjectworldSpec, build_fixed_target, \
     build_objectworld, generate_experts
 from ccpirl.hotzmiller import build_operator, exante_value, \
-    iterative_inverse_apply, weighted_flow_reward
+    weighted_flow_reward
 from ccpirl.metrics import policy_evaluation
 from ccpirl.model import CCPTable, trajectories_to_json
 
-from conftest import random_model
+from conftest import iterative_inverse_apply, per_action, random_model
 
 TOL = 1e-12
 
@@ -44,14 +44,14 @@ def _policy(rng, model):
 
 
 def _dense_weighted(model, weights):
-    mats = model.transitions.per_action
+    mats = per_action(model.transitions)
     return sum(weights[:, a, None] * mats[a] for a in range(model.n_actions))
 
 
 @pytest.mark.parametrize("model", MODELS, ids=IDS)
 def test_next_values_match_dense(model):
     v = np.random.default_rng(1).standard_normal(model.n_states)
-    dense = np.column_stack([m @ v for m in model.transitions.per_action])
+    dense = np.column_stack([m @ v for m in per_action(model.transitions)])
     assert np.max(np.abs(model.transitions.next_values(v) - dense)) < TOL
 
 
@@ -68,7 +68,7 @@ def test_weighted_transition_matches_dense(model):
 @pytest.mark.parametrize("model", MODELS, ids=IDS)
 def test_forward_pass_matches_dense(model):
     probs = _policy(np.random.default_rng(3), model)
-    mats = model.transitions.per_action
+    mats = per_action(model.transitions)
     goals = sorted(model.goal_states)
     layers = [model.initial_dist.copy()]
     for _ in range(9):
@@ -107,14 +107,15 @@ def test_hotz_miller_value_matches_dense(model, mode):
     if mode == "direct":
         got = exante_value(op, r).values
     else:
-        got = iterative_inverse_apply(op.policy_transition, op.beta,
+        got = iterative_inverse_apply(model.transitions.weighted(sigma),
+                                      model.discount,
                                       weighted_flow_reward(op, r))
     assert np.max(np.abs(got - dense)) < tol
 
 
 def test_row_matches_dense_row():
     model = MODELS[3]
-    mats = model.transitions.per_action
+    mats = per_action(model.transitions)
     states, cdfs = model.transitions.next_state_cdfs
     width = np.diff(model.transitions.csr.indptr).max()
     assert states.shape == cdfs.shape == (model.n_actions * model.n_states,
