@@ -33,6 +33,8 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         GridSpec(n=8, macro_size=3)
     with pytest.raises(ValueError):
+        GridSpec(n=8, macro_size=0)
+    with pytest.raises(ValueError):
         ObjectworldSpec(n=8, n_colors=1)
 
 
