@@ -7,10 +7,9 @@ benchmark harness times the two trainers on identical demonstrations and
 reports paired speedups as CSV.
 """
 
-import dataclasses
 import json
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -163,7 +162,7 @@ class BenchCell:
     def check(self):
         """Raise ValueError unless the cell can run: each field of its
         annotated type (an int will do for beta) and within range."""
-        for f in dataclasses.fields(self):
+        for f in fields(self):
             value = getattr(self, f.name)
             allowed = (float, int) if f.type is float else (f.type,)
             if type(value) not in allowed:

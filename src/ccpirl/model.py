@@ -79,11 +79,10 @@ class TransitionModel:
     def triplets(self):
         """Per-action (rows, cols, values) of T(a), the inverse of
         ``from_triplets``."""
-        coos = (self._block(a).tocoo() for a in range(self.n_actions))
+        n = self.n_states
+        coos = (self.csr[a * n:(a + 1) * n].tocoo()
+                for a in range(self.n_actions))
         return [(c.row, c.col, c.data) for c in coos]
-
-    def _block(self, a):
-        return self.csr[a * self.n_states:(a + 1) * self.n_states]
 
     def next_values(self, v):
         """(|X|, |A|) table of (T(a) v)(x), all actions in one product.
