@@ -39,15 +39,10 @@ from .hotzmiller import (
     exante_value,
 )
 from .metrics import (
-    BenchCell,
-    BenchRecord,
-    BenchSuiteConfig,
-    EvalResult,
     evd,
     hard_value_iteration,
     nll,
     policy_evaluation,
-    run_benchmark,
     soft_optimal_policy,
     uniform_policy,
 )

@@ -5,8 +5,12 @@ run is driven by a config (JSON file and/or flags; flags win), requires an
 explicit seed, and re-serializes its effective config next to its outputs
 so any result can be reproduced exactly.
 
-Exit codes: 0 success, 2 invalid input or config (including a model or
-trajectory file that fails validation), 3 numerical failure.
+``bench`` times both trainers on each cell of a suite (a preset or a JSON
+file); its suite types and its loop live here, beside the command.
+
+Exit codes: 0 success, 2 invalid input or config (including a flag out of
+range and a model or trajectory file that fails validation), 3 numerical
+failure (for ``bench``, every cell failed).
 """
 
 import argparse
@@ -15,6 +19,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,8 +27,7 @@ from . import envs
 from .ccp import SmoothingConfig, estimate_ccp, save_ccp
 from .engine import load_checkpoint, save_checkpoint, train_ccp, train_maxent
 from .errors import CcpIrlError, InvalidInput
-from .metrics import BenchCell, BenchSuiteConfig, EvalResult, evd, nll, \
-    run_benchmark, soft_optimal_policy
+from .metrics import evd, nll, soft_optimal_policy
 from .model import check_trajectories, load_model, load_trajectories, \
     save_model, save_trajectories, validate_model
 from .rewards import LinearReward, initial_reward, reward_table
@@ -73,6 +77,25 @@ def _require(args, *names):
             raise CliError(f"missing required option {flag}")
 
 
+# (what the value must be, its test) for _check_flags; a config file's
+# values skip the parser's types, so each test checks the type too
+NON_NEGATIVE_INT = ("a non-negative integer", lambda v: type(v) is int and v >= 0)
+POSITIVE_INT = ("a positive integer", lambda v: type(v) is int and v > 0)
+POSITIVE = ("positive", lambda v: type(v) in (int, float) and v > 0)
+PROBABILITY = ("in [0, 1]", lambda v: type(v) in (int, float) and 0 <= v <= 1)
+
+
+def _check_flags(args, **rules):
+    """Raise CliError for the first flag whose value breaks its rule; a flag
+    left at None takes its default and is not checked."""
+    for name, (what, test) in rules.items():
+        value = getattr(args, name)
+        if value is not None and not test(value):
+            flag = "--" + name.replace("_", "-")
+            raise CliError(f"invalid value for {flag}: {value!r} "
+                           f"(must be {what})")
+
+
 def _load_env_dir(env_dir):
     model_path = os.path.join(env_dir, "model.json")
     reward_path = os.path.join(env_dir, "true_reward.json")
@@ -91,8 +114,7 @@ def _load_env_dir(env_dir):
 
 def cmd_gen_env(args):
     _require(args, "env", "n", "out")
-    if args.n is not None and args.n <= 0:
-        raise CliError("invalid value for --n: grid side must be positive")
+    _check_flags(args, n=POSITIVE_INT)
     seed = _resolve_seed(args)
     os.makedirs(args.out, exist_ok=True)
     try:
@@ -122,8 +144,8 @@ def cmd_gen_env(args):
 
 def cmd_gen_experts(args):
     _require(args, "env_dir", "n_trajectories", "out")
-    if args.n_trajectories <= 0:
-        raise CliError("invalid value for --n-trajectories: must be positive")
+    _check_flags(args, n_trajectories=POSITIVE_INT, traj_length=POSITIVE_INT,
+                 epsilon=PROBABILITY)
     seed = _resolve_seed(args)
     model, true_reward = _load_env_dir(args.env_dir)
     if true_reward is None:
@@ -151,6 +173,8 @@ def _default_traj_length(env_dir):
 
 def cmd_estimate_ccp(args):
     _require(args, "env_dir", "trajectories", "out")
+    if args.smoothing == "additive":
+        _check_flags(args, alpha=POSITIVE)
     model, _ = _load_env_dir(args.env_dir)
     trajectories = _load_trajs(args.trajectories, model)
     smoothing = SmoothingConfig(mode=args.smoothing, alpha=args.alpha)
@@ -174,6 +198,8 @@ def cmd_train(args):
     if args.algo not in ("maxent", "ccp"):
         raise CliError(f"invalid value for --algo: {args.algo!r} "
                        "(choose maxent or ccp)")
+    _check_flags(args, iterations=NON_NEGATIVE_INT, horizon=POSITIVE_INT,
+                 lr=POSITIVE, hidden=POSITIVE_INT, alpha=POSITIVE)
     seed = _resolve_seed(args)
     model, _ = _load_env_dir(args.env_dir)
     trajectories = _load_trajs(args.trajectories, model)
@@ -259,20 +285,74 @@ def cmd_eval(args):
     table = reward_table(model, reward)
     try:
         policy = soft_optimal_policy(model, table)
-        result = EvalResult(
-            nll=nll(policy, trajectories),
-            evd=evd(model, true_reward, policy) if true_reward else float("nan"),
-            n_eval_trajectories=len(trajectories),
-            config_fingerprint=_fingerprint({
+        result = {
+            "nll": nll(policy, trajectories),
+            "evd": evd(model, true_reward, policy) if true_reward
+            else float("nan"),
+            "n_eval_trajectories": len(trajectories),
+            "config_fingerprint": _fingerprint({
                 "checkpoint": args.checkpoint,
                 "trajectories": args.trajectories,
             }),
-        )
+        }
     except CcpIrlError as exc:
         raise CliError(f"evaluation failed: {exc}", code=EXIT_NUMERIC)
     with open(args.out, "w") as fh:
-        json.dump(result.to_json(), fh, indent=2)
-    print(f"nll={result.nll:.4f} evd={result.evd:.4f} -> {args.out}")
+        json.dump(result, fh, indent=2)
+    print(f"nll={result['nll']:.4f} evd={result['evd']:.4f} -> {args.out}")
+
+
+@dataclass
+class BenchCell:
+    """One (environment, size, beta) benchmark configuration."""
+
+    env: str  # "fixed", "macro", "objectworld"
+    n: int
+    beta: float = 0.9
+    iterations: int = 50
+    n_trajectories: int = 64
+    seed: int = 0
+    macro_size: int = 2
+    n_colors: int = 2
+    reward_model: str = "linear"  # "linear" or "mlp"
+
+    def check(self):
+        """Raise ValueError unless the cell can run: each field of its
+        annotated type (an int will do for beta) and within range."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            allowed = (float, int) if f.type is float else (f.type,)
+            if type(value) not in allowed:
+                raise ValueError(f"cell {f.name} must be of type "
+                                 f"{f.type.__name__}, got {value!r}")
+        in_range = {"beta": 0 <= self.beta < 1,
+                    "iterations": self.iterations >= 0,
+                    "n_trajectories": self.n_trajectories >= 1,
+                    "seed": self.seed >= 0,
+                    "reward_model": self.reward_model in ("linear", "mlp")}
+        for name, ok in in_range.items():
+            if not ok:
+                raise ValueError(f"cell {name} {getattr(self, name)!r} is "
+                                 "out of range")
+        envs.make_spec(self.env, self.n, seed=self.seed,
+                       macro_size=self.macro_size, n_colors=self.n_colors)
+
+
+@dataclass
+class BenchSuiteConfig:
+    name: str
+    cells: list
+    repeats: int = 3
+    warmup: bool = True
+
+    def check(self):
+        """Raise ValueError for a suite that cannot run, every cell checked,
+        so that it can be refused before any cell runs."""
+        if type(self.repeats) is not int or self.repeats < 1:
+            raise ValueError(f"suite repeats must be a positive integer, "
+                             f"got {self.repeats!r}")
+        for cell in self.cells:
+            cell.check()
 
 
 def preset_suites():
@@ -337,14 +417,70 @@ def cmd_bench(args):
         suite.check()
     except ValueError as exc:
         raise CliError(f"invalid suite: {exc}")
-    records = run_benchmark(suite, output_dir=args.out)
-    ok = [r for r in records if not r.error]
-    failed = [r for r in records if r.error]
-    for r in failed:
-        print(f"cell {r.env} failed: {r.error}", file=sys.stderr)
-    print(f"wrote {len(ok)} records to {args.out}")
-    if not ok:
+    rows, speedups, errors = [], {}, []
+    for cell in suite.cells:
+        env = f"{cell.env}-n{cell.n}"
+        try:
+            shape, scores, speedup = bench_cell(cell, suite.repeats,
+                                                suite.warmup)
+        except Exception as exc:  # record the failure, keep the suite going
+            errors.append({"env": env, "error": f"{type(exc).__name__}: {exc}"})
+            continue
+        speedups[(env, cell.beta)] = speedup
+        for algorithm, (times, cell_nll, cell_evd) in scores.items():
+            rows += [f"{algorithm},{env},{shape[0]},{shape[1]},{cell.beta},"
+                     f"{cell.iterations},{cell.n_trajectories},{setup:.6g},"
+                     f"{total:.6g},{cell_nll:.10g},{cell_evd:.10g},"
+                     f"{cell.seed},{repeat}\n"
+                     for repeat, (setup, total) in enumerate(times)]
+    os.makedirs(args.out, exist_ok=True)
+    with open(os.path.join(args.out, f"{suite.name}.csv"), "w") as fh:
+        fh.write("algorithm,env,n_states,n_actions,beta,iterations,"
+                 "trajectories,setup_s,total_s,nll,evd,seed,repeat\n")
+        fh.writelines(rows)
+    with open(os.path.join(args.out, f"{suite.name}.config.json"), "w") as fh:
+        json.dump({"name": suite.name, "repeats": suite.repeats,
+                   "warmup": suite.warmup,
+                   "cells": [vars(c) for c in suite.cells],
+                   "speedups": sorted(speedups.items(), key=str),
+                   "errors": errors}, fh, indent=2, default=str)
+    for error in errors:
+        print(f"cell {error['env']} failed: {error['error']}", file=sys.stderr)
+    print(f"wrote {len(rows)} records to {args.out}")
+    if not rows:
         raise CliError("every benchmark cell failed", code=EXIT_NUMERIC)
+
+
+def bench_cell(cell, repeats, warmup):
+    """Time both trainers on one cell's demos: per algorithm an optional
+    untimed warm-up, then ``repeats`` timed runs. Returns (states, actions),
+    {algorithm: ([(setup_seconds, total_seconds)], NLL, EVD)}, NLL and EVD
+    scored as ``eval`` scores the last run's reward, and the speedup, maxent's
+    mean total time over ccp's."""
+    model, true_reward = envs.build(
+        cell.env, cell.n, discount=cell.beta, seed=cell.seed,
+        macro_size=cell.macro_size, n_colors=cell.n_colors)
+    demos = envs.generate_experts(
+        model, true_reward, cell.n_trajectories,
+        envs.default_traj_length(cell.env, cell.n), seed=cell.seed)
+
+    def run(trainer):
+        reward, optimizer = initial_reward(
+            cell.reward_model, model.features.feature_dim, seed=cell.seed)
+        return trainer(model, demos, reward, optimizer, cell.iterations)
+
+    scores = {}
+    for algorithm, trainer in (("maxent", train_maxent), ("ccp", train_ccp)):
+        if warmup:
+            run(trainer)
+        reports = [run(trainer) for _ in range(repeats)]
+        policy = soft_optimal_policy(model, reports[-1].final_rewards)
+        scores[algorithm] = (
+            [(r.setup_seconds, r.total_seconds) for r in reports],
+            nll(policy, demos), evd(model, true_reward, policy))
+    speedup = np.mean([total for _, total in scores["maxent"][0]]) \
+        / np.mean([total for _, total in scores["ccp"][0]])
+    return (model.n_states, model.n_actions), scores, speedup
 
 
 # ---------------------------------------------------------------------------

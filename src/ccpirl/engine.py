@@ -18,7 +18,7 @@ from .ccp import estimate_ccp
 from .errors import EmptyData, InvalidInput, NonFiniteGradient
 from .hotzmiller import build_operator, exante_value
 from .metrics import nll
-from .model import SoftPolicy, check_trajectories
+from .model import SoftPolicy, check_trajectories, validate_model
 from .rewards import Adam, GradientAscent, LinearReward, MlpReward, \
     mlp_backward, reward_table
 from .softdp import choice_values, policy_from_values, solve_soft_vi
@@ -124,13 +124,23 @@ def _gradient(reward_param, model, mu_demo, visit_demo, vis):
     return grads
 
 
-def _train(algorithm, values, model, trajectories, reward_param, optimizer,
-           iterations, horizon, start_iteration, setup_seconds=0.0):
-    """The loop both trainers run. ``values(rewards)`` returns the ex-ante
-    value of a reward table: the one step in which the trainers differ."""
+def _train(algorithm, setup, model, trajectories, reward_param, optimizer,
+           iterations, horizon, start_iteration):
+    """The loop both trainers run. ``setup()``, timed as the report's setup,
+    returns ``values``; ``values(rewards)`` returns the ex-ante value of a
+    reward table: the one step in which the trainers differ."""
+    problems = validate_model(model)
+    if problems:
+        raise InvalidInput("invalid model: " + "; ".join(problems))
+    if iterations < 0:
+        raise ValueError(f"iterations must be non-negative, got {iterations}")
     if not trajectories:
         raise EmptyData("no trajectories given")
-    horizon = horizon or default_horizon(trajectories)
+    if horizon is None:
+        horizon = default_horizon(trajectories)
+    t_setup = time.perf_counter()
+    values = setup()
+    setup_seconds = time.perf_counter() - t_setup
     visit_demo = demo_state_visits(trajectories, model.n_states)
     mu_demo = model.features.values.T @ visit_demo
 
@@ -171,7 +181,8 @@ def _train(algorithm, values, model, trajectories, reward_param, optimizer,
 def train_maxent(model, trajectories, reward_param, optimizer, iterations,
                  horizon=None, start_iteration=0):
     """Classic loop: one full soft-DP solve per gradient step."""
-    return _train("maxent", lambda rewards: solve_soft_vi(model, rewards)[0],
+    return _train("maxent",
+                  lambda: lambda rewards: solve_soft_vi(model, rewards)[0],
                   model, trajectories, reward_param, optimizer, iterations,
                   horizon, start_iteration)
 
@@ -180,13 +191,13 @@ def train_ccp(model, trajectories, reward_param, optimizer, iterations,
               horizon=None, smoothing=None, start_iteration=0):
     """CCP loop: choice probabilities estimated once, the value operator
     built once, and only matrix arithmetic inside the iteration."""
-    t_setup = time.perf_counter()
-    op = build_operator(model, estimate_ccp(trajectories, model.n_states,
-                                            model.n_actions, smoothing))
-    setup_seconds = time.perf_counter() - t_setup
-    return _train("ccp", lambda rewards: exante_value(op, rewards),
-                  model, trajectories, reward_param, optimizer, iterations,
-                  horizon, start_iteration, setup_seconds)
+    def setup():
+        op = build_operator(model, estimate_ccp(trajectories, model.n_states,
+                                                model.n_actions, smoothing))
+        return lambda rewards: exante_value(op, rewards)
+
+    return _train("ccp", setup, model, trajectories, reward_param, optimizer,
+                  iterations, horizon, start_iteration)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput
+from .metrics import hard_value_iteration
 from .model import DdcModel, FeatureMatrix, Trajectory, TransitionModel
 from .rewards import reward_table
 from .softdp import choice_values, policy_from_values, solve_soft_vi
@@ -311,8 +312,6 @@ def expert_policy(model, true_reward, mode="soft", epsilon=0.1):
         vbar, _ = solve_soft_vi(model, rewards)
         return policy_from_values(choice_values(model, rewards, vbar)).probs
     if mode == "hard-eps":
-        from .metrics import hard_value_iteration
-
         _, greedy = hard_value_iteration(model, rewards)
         return (1.0 - epsilon) * greedy.probs + epsilon / model.n_actions
     raise ValueError(f"unknown expert mode {mode!r}")

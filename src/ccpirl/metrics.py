@@ -1,28 +1,19 @@
-"""Evaluation metrics and the wall-clock benchmark harness.
+"""Evaluation metrics.
 
 NLL scores demonstration actions under a candidate policy. EVD compares,
 under the true reward, the value of the hard-optimal policy against the
-value of the learned policy, averaged over the start distribution. The
-benchmark harness times the two trainers on identical demonstrations and
-reports paired speedups as CSV.
+value of the learned policy, averaged over the start distribution.
 """
 
-import json
 import weakref
-from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import envs, softdp
+from . import softdp
 from .errors import EmptyData, MaxSweepsExceeded
 from .hotzmiller import factorize
 from .model import SoftPolicy, check_trajectories
-from .rewards import initial_reward, reward_table
-
-BENCH_CSV_HEADER = (
-    "algorithm,env,n_states,n_actions,beta,iterations,trajectories,"
-    "setup_s,total_s,nll,evd,seed,repeat"
-)
+from .rewards import reward_table
 
 
 def nll(policy, trajectories):
@@ -122,201 +113,3 @@ def evd(model, true_reward, learned_policy):
     v_star = _optimal_values(model, true_reward)
     v_pi = policy_evaluation(model, true_reward, learned_policy)
     return float(model.initial_dist @ (v_star - v_pi))
-
-
-@dataclass(frozen=True)
-class EvalResult:
-    nll: float
-    evd: float
-    n_eval_trajectories: int
-    config_fingerprint: str = ""
-
-    def to_json(self):
-        return {
-            "nll": self.nll,
-            "evd": self.evd,
-            "n_eval_trajectories": self.n_eval_trajectories,
-            "config_fingerprint": self.config_fingerprint,
-        }
-
-
-# ---------------------------------------------------------------------------
-# Benchmark harness
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class BenchCell:
-    """One (environment, size, beta) benchmark configuration."""
-
-    env: str  # "fixed", "macro", "objectworld"
-    n: int
-    beta: float = 0.9
-    iterations: int = 50
-    n_trajectories: int = 64
-    seed: int = 0
-    macro_size: int = 2
-    n_colors: int = 2
-    reward_model: str = "linear"  # "linear" or "mlp"
-
-    def check(self):
-        """Raise ValueError unless the cell can run: each field of its
-        annotated type (an int will do for beta) and within range."""
-        for f in fields(self):
-            value = getattr(self, f.name)
-            allowed = (float, int) if f.type is float else (f.type,)
-            if type(value) not in allowed:
-                raise ValueError(f"cell {f.name} must be of type "
-                                 f"{f.type.__name__}, got {value!r}")
-        in_range = {"beta": 0 <= self.beta < 1,
-                    "iterations": self.iterations >= 0,
-                    "n_trajectories": self.n_trajectories >= 1,
-                    "seed": self.seed >= 0,
-                    "reward_model": self.reward_model in ("linear", "mlp")}
-        for name, ok in in_range.items():
-            if not ok:
-                raise ValueError(f"cell {name} {getattr(self, name)!r} is "
-                                 "out of range")
-        envs.make_spec(self.env, self.n, seed=self.seed,
-                       macro_size=self.macro_size, n_colors=self.n_colors)
-
-
-@dataclass
-class BenchSuiteConfig:
-    name: str
-    cells: list
-    repeats: int = 3
-    warmup: bool = True
-
-    def check(self):
-        """Raise ValueError for a suite that cannot run, every cell checked,
-        so that it can be refused before any cell runs."""
-        if type(self.repeats) is not int or self.repeats < 1:
-            raise ValueError(f"suite repeats must be a positive integer, "
-                             f"got {self.repeats!r}")
-        for cell in self.cells:
-            cell.check()
-
-
-@dataclass
-class BenchRecord:
-    algorithm: str
-    env: str
-    n_states: int
-    n_actions: int
-    beta: float
-    iterations: int
-    n_trajectories: int
-    setup_seconds: float
-    total_seconds: float
-    nll: float
-    evd: float
-    seed: int
-    repeat: int
-    speedup: float = float("nan")
-    error: str = ""
-
-
-def _run_one(cell, model, trajectories, algorithm):
-    from .engine import train_ccp, train_maxent
-
-    reward, optimizer = initial_reward(cell.reward_model,
-                                       model.features.feature_dim,
-                                       seed=cell.seed)
-    trainer = train_maxent if algorithm == "maxent" else train_ccp
-    return trainer(model, trajectories, reward, optimizer, cell.iterations)
-
-
-def run_benchmark(suite, output_dir=None):
-    """Time every cell for both algorithms on the same demonstrations.
-
-    Cells run strictly sequentially. Per algorithm: one optional warm-up run
-    (untimed), then `repeats` timed runs; the paired speedup uses the mean
-    of total times. NLL and EVD are those of the soft-optimal policy of the
-    last run's learned reward, as ``ccpirl eval`` scores it. Per-cell
-    failures are recorded, not raised.
-    """
-    records = []
-    for cell in suite.cells:
-        try:
-            model, true_reward = envs.build(
-                cell.env, cell.n, discount=cell.beta, seed=cell.seed,
-                macro_size=cell.macro_size, n_colors=cell.n_colors)
-            trajectories = envs.generate_experts(
-                model, true_reward, cell.n_trajectories,
-                envs.default_traj_length(cell.env, cell.n), seed=cell.seed)
-            cell_records = {}
-            for algorithm in ("maxent", "ccp"):
-                if suite.warmup:
-                    _run_one(cell, model, trajectories, algorithm)
-                runs = [_run_one(cell, model, trajectories, algorithm)
-                        for _ in range(suite.repeats)]
-                policy = soft_optimal_policy(model, runs[-1].final_rewards)
-                final_nll = nll(policy, trajectories)
-                final_evd = evd(model, true_reward, policy)
-                cell_records[algorithm] = [BenchRecord(
-                    algorithm=algorithm,
-                    env=f"{cell.env}-n{cell.n}",
-                    n_states=model.n_states,
-                    n_actions=model.n_actions,
-                    beta=cell.beta,
-                    iterations=cell.iterations,
-                    n_trajectories=cell.n_trajectories,
-                    setup_seconds=report.setup_seconds,
-                    total_seconds=report.total_seconds,
-                    nll=final_nll,
-                    evd=final_evd,
-                    seed=cell.seed,
-                    repeat=rep,
-                ) for rep, report in enumerate(runs)]
-            speedup = np.mean([r.total_seconds
-                               for r in cell_records["maxent"]]) \
-                / np.mean([r.total_seconds for r in cell_records["ccp"]])
-            for recs in cell_records.values():
-                for r in recs:
-                    r.speedup = speedup
-                records.extend(recs)
-        except Exception as exc:  # record the failure, keep the suite going
-            records.append(BenchRecord(
-                algorithm="-", env=f"{cell.env}-n{cell.n}", n_states=0,
-                n_actions=0, beta=cell.beta, iterations=cell.iterations,
-                n_trajectories=cell.n_trajectories, setup_seconds=0.0,
-                total_seconds=0.0, nll=float("nan"), evd=float("nan"),
-                seed=cell.seed, repeat=0,
-                error=f"{type(exc).__name__}: {exc}",
-            ))
-    if output_dir is not None:
-        write_benchmark_csv(records, suite, output_dir)
-    return records
-
-
-def write_benchmark_csv(records, suite, output_dir):
-    import os
-
-    os.makedirs(output_dir, exist_ok=True)
-    csv_path = os.path.join(output_dir, f"{suite.name}.csv")
-    with open(csv_path, "w") as fh:
-        fh.write(BENCH_CSV_HEADER + "\n")
-        for r in records:
-            if r.error:
-                continue
-            fh.write(
-                f"{r.algorithm},{r.env},{r.n_states},{r.n_actions},{r.beta},"
-                f"{r.iterations},{r.n_trajectories},{r.setup_seconds:.6g},"
-                f"{r.total_seconds:.6g},{r.nll:.10g},{r.evd:.10g},"
-                f"{r.seed},{r.repeat}\n"
-            )
-    companion = {
-        "name": suite.name,
-        "repeats": suite.repeats,
-        "warmup": suite.warmup,
-        "cells": [vars(c) for c in suite.cells],
-        "speedups": sorted({
-            (r.env, r.beta): r.speedup for r in records if not r.error
-        }.items(), key=str),
-        "errors": [{"env": r.env, "error": r.error}
-                   for r in records if r.error],
-    }
-    with open(os.path.join(output_dir, f"{suite.name}.config.json"), "w") as fh:
-        json.dump(companion, fh, indent=2, default=str)
-    return csv_path

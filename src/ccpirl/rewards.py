@@ -183,11 +183,12 @@ class Adam:
 
 def initial_reward(kind, feature_dim, lr=None, hidden_width=32, seed=0):
     """A fresh reward of kind "linear" or "mlp" and the optimizer that
-    trains it: a zero linear reward with GradientAscent(lr or 0.1), or a
-    seeded MlpReward.init with Adam(lr or 1e-3)."""
+    trains it: a zero linear reward with GradientAscent(lr), or a seeded
+    MlpReward.init with Adam(lr). An lr of None takes 0.1 and 1e-3."""
     if kind == "linear":
-        return LinearReward(np.zeros(feature_dim)), GradientAscent(lr or 0.1)
+        return LinearReward(np.zeros(feature_dim)), \
+            GradientAscent(0.1 if lr is None else lr)
     if kind == "mlp":
         return (MlpReward.init(feature_dim, hidden_width=hidden_width,
-                               seed=seed), Adam(lr or 1e-3))
+                               seed=seed), Adam(1e-3 if lr is None else lr))
     raise ValueError(f"unknown reward kind {kind!r}")

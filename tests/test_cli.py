@@ -339,6 +339,44 @@ def test_bench_suite_that_cannot_run_runs_no_cell(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("train", ["--iterations", "-3"]),
+    ("train", ["--horizon", "-2"]),
+    ("train", ["--horizon", "0"]),
+    ("train", ["--lr", "0"]),
+    ("train", ["--alpha", "0"]),
+    ("train", ["--alpha", "-1"]),
+    ("train", ["--reward", "mlp", "--hidden", "0"]),
+    ("train", ["--hidden", "-3"]),
+    ("gen-experts", ["--traj-length", "0"]),
+    ("gen-experts", ["--traj-length", "-1"]),
+    ("gen-experts", ["--mode", "hard-eps", "--epsilon", "2"]),
+    ("estimate-ccp", ["--alpha", "0"]),
+], ids=["train-negative-iterations", "train-negative-horizon",
+        "train-zero-horizon", "train-zero-lr", "train-zero-alpha",
+        "train-negative-alpha", "train-zero-hidden", "train-negative-hidden",
+        "gen-experts-zero-length", "gen-experts-negative-length",
+        "gen-experts-epsilon-2", "estimate-ccp-zero-alpha"])
+def test_out_of_range_flags_are_config_errors(tmp_path, capsys, command,
+                                              flags):
+    env = gen_env(tmp_path)
+    demos = gen_experts(tmp_path, env, n=4)
+    out = tmp_path / "out"
+    argv = {
+        "train": ["train", "--trajectories", str(demos), "--algo", "ccp",
+                  "--seed", "0"],
+        "gen-experts": ["gen-experts", "--n-trajectories", "2",
+                        "--seed", "1"],
+        "estimate-ccp": ["estimate-ccp", "--trajectories", str(demos)],
+    }[command] + ["--env-dir", str(env), "--out", str(out)] + flags
+    capsys.readouterr()
+    assert run(*argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert flags[-2] in err[0]
+    assert not out.exists()
+
+
 def test_train_is_deterministic_given_config(tmp_path):
     env = gen_env(tmp_path)
     demos = gen_experts(tmp_path, env)

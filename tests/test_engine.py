@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -248,6 +249,26 @@ def test_empty_demos_raise():
         train_maxent(model, [], reward, GradientAscent(0.1), 1)
     with pytest.raises(EmptyData):
         demo_state_visits([], 16)
+
+
+@pytest.mark.parametrize("trainer", [train_maxent, train_ccp])
+def test_trainers_refuse_bad_models_and_iteration_counts(trainer):
+    model, true_reward = build_fixed_target(GridSpec(n=4, seed=0))
+    demos = generate_experts(model, true_reward, 4, 8, seed=1)
+    unit = dataclasses.replace(model, discount=1.0)
+    with pytest.raises(InvalidInput, match="discount must lie in"):
+        trainer(unit, demos, LinearReward(np.zeros(2)), GradientAscent(0.1), 1)
+    with pytest.raises(ValueError, match="iterations"):
+        trainer(model, demos, LinearReward(np.zeros(2)), GradientAscent(0.1),
+                -3)
+
+
+def test_only_none_takes_the_default_horizon():
+    model, true_reward = build_fixed_target(GridSpec(n=4, seed=0))
+    demos = generate_experts(model, true_reward, 4, 8, seed=1)
+    with pytest.raises(ValueError, match="horizon"):
+        train_ccp(model, demos, LinearReward(np.zeros(2)), GradientAscent(0.1),
+                  1, horizon=0)
 
 
 def test_non_finite_gradient_raises():

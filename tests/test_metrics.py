@@ -1,31 +1,29 @@
 import csv
 import dataclasses
 import gc
+import json
 import weakref
 
 import numpy as np
 import pytest
 
 from ccpirl import metrics
+from ccpirl.cli import BenchCell, bench_cell, main
+from ccpirl.engine import save_checkpoint, train_ccp, train_maxent
 from ccpirl.envs import GridSpec, build_fixed_target, generate_experts
 from ccpirl.errors import EmptyData, InvalidInput, MaxSweepsExceeded
 from ccpirl.metrics import (
-    BENCH_CSV_HEADER,
-    BenchCell,
-    BenchSuiteConfig,
-    EvalResult,
     evd,
     hard_value_iteration,
     nll,
     policy_evaluation,
-    run_benchmark,
     soft_optimal_policy,
     uniform_policy,
-    write_benchmark_csv,
 )
 from ccpirl.model import DdcModel, FeatureMatrix, SoftPolicy, Trajectory, \
-    TransitionModel
-from ccpirl.rewards import broadcast_rewards
+    TransitionModel, save_trajectories
+from ccpirl.rewards import GradientAscent, LinearReward, \
+    broadcast_rewards, reward_table
 from ccpirl.softdp import choice_values, policy_from_values, solve_soft_vi
 
 from conftest import per_action, random_model
@@ -268,9 +266,6 @@ def test_soft_optimal_policy_beats_uniform():
 
 
 def test_trained_policy_regression_bound():
-    from ccpirl.engine import train_maxent
-    from ccpirl.rewards import GradientAscent, LinearReward
-
     model, true_reward = build_fixed_target(GridSpec(n=8, seed=0),
                                             discount=0.95)
     demos = generate_experts(model, true_reward, 64, 32, seed=1000)
@@ -286,69 +281,109 @@ def test_trained_policy_regression_bound():
     assert learned < 0.4 * uni
 
 
-def test_eval_result_json_schema():
-    result = EvalResult(nll=1.5, evd=0.2, n_eval_trajectories=8,
-                        config_fingerprint="abc")
-    data = result.to_json()
-    assert set(data) == {"nll", "evd", "n_eval_trajectories",
-                        "config_fingerprint"}
+BENCH_CSV_HEADER = ("algorithm,env,n_states,n_actions,beta,iterations,"
+                    "trajectories,setup_s,total_s,nll,evd,seed,repeat")
+
+
+def run_bench(tmp_path, name, cells, repeats=1):
+    """Run ``ccpirl bench`` on a suite file of ``cells``; returns the exit
+    code and the lines of the CSV it wrote."""
+    suite = tmp_path / f"{name}.json"
+    suite.write_text(json.dumps({"name": name, "cells": cells,
+                                 "repeats": repeats, "warmup": False}))
+    code = main(["bench", "--suite", str(suite),
+                 "--out", str(tmp_path / "bench")])
+    return code, (tmp_path / "bench" / f"{name}.csv").read_text().splitlines()
+
+
+def test_eval_result_json_schema(tmp_path):
+    # eval writes its four keys, scored as soft_optimal_policy scores the
+    # checkpoint's reward
+    model, true_reward = build_fixed_target(GridSpec(n=4, seed=0))
+    demos = generate_experts(model, true_reward, 6, 12, seed=1)
+    env = tmp_path / "env"
+    assert main(["gen-env", "--env", "fixed", "--n", "4", "--seed", "0",
+                 "--out", str(env)]) == 0
+    save_trajectories(tmp_path / "demos.json", demos)
+    save_checkpoint(tmp_path / "ckpt.json", LinearReward([0.5, -1.0]),
+                    GradientAscent(0.1), 3)
+    out = tmp_path / "eval.json"
+    assert main(["eval", "--env-dir", str(env),
+                 "--checkpoint", str(tmp_path / "ckpt.json"),
+                 "--trajectories", str(tmp_path / "demos.json"),
+                 "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert list(data) == ["nll", "evd", "n_eval_trajectories",
+                          "config_fingerprint"]
+    policy = soft_optimal_policy(
+        model, reward_table(model, LinearReward([0.5, -1.0])))
+    assert data["nll"] == nll(policy, demos)
+    assert data["evd"] == evd(model, true_reward, policy)
+    assert data["n_eval_trajectories"] == 6
+    assert len(data["config_fingerprint"]) == 16
+    assert out.read_text() == json.dumps(data, indent=2)
 
 
 def test_benchmark_smoke_suite(tmp_path):
-    from ccpirl.engine import train_ccp, train_maxent
-    from ccpirl.rewards import GradientAscent, LinearReward
-
-    suite = BenchSuiteConfig(
-        "smoke",
-        [BenchCell("fixed", 3, iterations=2, n_trajectories=6)],
-        repeats=2, warmup=False,
-    )
-    records = run_benchmark(suite, output_dir=tmp_path)
-    assert len(records) == 4  # 2 algorithms x 2 repeats
-    assert all(not r.error for r in records)
-    assert all(r.total_seconds > 0.0 for r in records)
-    # each record scores the soft-optimal policy of the learned reward, as
+    cell = BenchCell("fixed", 3, iterations=2, n_trajectories=6)
+    shape, scores, speedup = bench_cell(cell, repeats=2, warmup=False)
+    assert shape == (9, 4) and list(scores) == ["maxent", "ccp"]
+    assert np.isfinite(speedup) and speedup > 0.0
+    # each algorithm scores the soft-optimal policy of the learned reward, as
     # ``ccpirl eval`` does, not the policy of the trainer's last iteration
     model, true_reward = build_fixed_target(GridSpec(n=3, seed=0))
     demos = generate_experts(model, true_reward, 6, 12, seed=0)
     for algorithm, trainer in (("maxent", train_maxent), ("ccp", train_ccp)):
+        times, cell_nll, cell_evd = scores[algorithm]
+        assert len(times) == 2
+        assert all(0.0 <= setup <= total for setup, total in times)
         report = trainer(model, demos, LinearReward(np.zeros(2)),
                          GradientAscent(0.1), 2)
         rewards = report.final_rewards
         vbar, _ = solve_soft_vi(model, rewards)
         policy = policy_from_values(choice_values(model, rewards, vbar))
-        for r in records:
-            if r.algorithm == algorithm:
-                assert abs(r.nll - nll(policy, demos)) < 1e-12
-                assert abs(r.evd - evd(model, true_reward, policy)) < 1e-12
-    speedups = {r.speedup for r in records}
-    assert len(speedups) == 1 and np.isfinite(speedups.pop())
+        assert abs(cell_nll - nll(policy, demos)) < 1e-12
+        assert abs(cell_evd - evd(model, true_reward, policy)) < 1e-12
 
-    csv_path = tmp_path / "smoke.csv"
-    lines = csv_path.read_text().strip().split("\n")
+    code, lines = run_bench(tmp_path, "smoke", [vars(cell)], repeats=2)
+    assert code == 0
     assert lines[0] == BENCH_CSV_HEADER
-    assert len(lines) == 5
     rows = list(csv.DictReader(lines))
+    assert [(r["algorithm"], r["repeat"]) for r in rows] == [
+        ("maxent", "0"), ("maxent", "1"), ("ccp", "0"), ("ccp", "1")]
     for row in rows:
-        assert row["algorithm"] in ("maxent", "ccp")
-        assert float(row["nll"]) > 0.0
-    assert (tmp_path / "smoke.config.json").exists()
+        assert row["env"] == "fixed-n3" and row["n_states"] == "9"
+        assert float(row["nll"]) == float(f"{scores[row['algorithm']][1]:.10g}")
+    config = json.loads((tmp_path / "bench" / "smoke.config.json").read_text())
+    assert config["errors"] == []
+    assert [key for key, _ in config["speedups"]] == [["fixed-n3", 0.9]]
 
 
-def test_benchmark_records_cell_failures(tmp_path):
-    suite = BenchSuiteConfig(
-        "broken",
-        [BenchCell("nosuch", 4)],
-        repeats=1, warmup=False,
-    )
-    records = run_benchmark(suite, output_dir=tmp_path)
-    assert len(records) == 1
-    assert "nosuch" in records[0].error or "unknown" in records[0].error
-    lines = (tmp_path / "broken.csv").read_text().strip().split("\n")
-    assert len(lines) == 1  # header only, failed rows excluded
+def test_benchmark_records_cell_failures(tmp_path, capsys):
+    # soft VI does not converge at beta 0.9999, so sampling the demos fails
+    # inside the cell; the suite carries on with the next cell
+    failing = {"env": "fixed", "n": 3, "beta": 0.9999}
+    good = {"env": "macro", "n": 4, "macro_size": 2, "iterations": 2,
+            "n_trajectories": 6}
+    capsys.readouterr()
+    code, lines = run_bench(tmp_path, "broken", [failing, good])
+    assert code == 0
+    assert [line.split(",")[:2] for line in lines[1:]] == [
+        ["maxent", "macro-n4"], ["ccp", "macro-n4"]]
+    config = json.loads((tmp_path / "bench" / "broken.config.json").read_text())
+    assert [e["env"] for e in config["errors"]] == ["fixed-n3"]
+    assert config["errors"][0]["error"].startswith("MaxSweepsExceeded: ")
+    assert [key for key, _ in config["speedups"]] == [["macro-n4", 0.9]]
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["cell fixed-n3 failed: " + config["errors"][0]["error"]]
 
 
-def test_write_benchmark_csv_skips_errors(tmp_path):
-    suite = BenchSuiteConfig("empty", [], repeats=1)
-    path = write_benchmark_csv([], suite, tmp_path)
-    assert open(path).read().strip() == BENCH_CSV_HEADER
+def test_write_benchmark_csv_skips_errors(tmp_path, capsys):
+    # with no cell run, the CSV is the header alone and bench exits 3
+    failing = {"env": "fixed", "n": 3, "beta": 0.9999}
+    for name, cells in (("empty", []), ("all-failing", [failing])):
+        capsys.readouterr()
+        code, lines = run_bench(tmp_path, name, cells)
+        assert code == 3
+        assert lines == [BENCH_CSV_HEADER]
+        assert "every benchmark cell failed" in capsys.readouterr().err

@@ -7,6 +7,7 @@ from ccpirl.rewards import (
     LinearReward,
     MlpReward,
     broadcast_rewards,
+    initial_reward,
     mlp_backward,
     mlp_forward,
 )
@@ -145,6 +146,12 @@ def test_optimizer_state_round_trips():
     clone2 = GradientAscent()
     clone2.load_state_dict(sgd.state_dict())
     assert clone2.step_size == 0.7
+
+
+def test_initial_reward_takes_the_default_step_only_for_none():
+    for kind, default in (("linear", 0.1), ("mlp", 1e-3)):
+        assert initial_reward(kind, 2)[1].step_size == default
+        assert initial_reward(kind, 2, lr=0.0)[1].step_size == 0.0
 
 
 def test_mlp_init_is_deterministic():
