@@ -79,10 +79,12 @@ def _require(args, *names):
 
 # (what the value must be, its test) for _check_flags; a config file's
 # values skip the parser's types, so each test checks the type too
-NON_NEGATIVE_INT = ("a non-negative integer", lambda v: type(v) is int and v >= 0)
+NON_NEGATIVE_INT = ("a non-negative integer",
+                    lambda v: type(v) is int and v >= 0)
 POSITIVE_INT = ("a positive integer", lambda v: type(v) is int and v > 0)
 POSITIVE = ("positive", lambda v: type(v) in (int, float) and v > 0)
-PROBABILITY = ("in [0, 1]", lambda v: type(v) in (int, float) and 0 <= v <= 1)
+PROBABILITY = ("in [0, 1]",
+               lambda v: type(v) in (int, float) and 0 <= v <= 1)
 
 
 def _check_flags(args, **rules):
@@ -424,7 +426,8 @@ def cmd_bench(args):
             shape, scores, speedup = bench_cell(cell, suite.repeats,
                                                 suite.warmup)
         except Exception as exc:  # record the failure, keep the suite going
-            errors.append({"env": env, "error": f"{type(exc).__name__}: {exc}"})
+            errors.append({"env": env,
+                           "error": f"{type(exc).__name__}: {exc}"})
             continue
         speedups[(env, cell.beta)] = speedup
         for algorithm, (times, cell_nll, cell_evd) in scores.items():

@@ -353,7 +353,7 @@ def test_benchmark_smoke_suite(tmp_path):
         ("maxent", "0"), ("maxent", "1"), ("ccp", "0"), ("ccp", "1")]
     for row in rows:
         assert row["env"] == "fixed-n3" and row["n_states"] == "9"
-        assert float(row["nll"]) == float(f"{scores[row['algorithm']][1]:.10g}")
+        assert row["nll"] == f"{scores[row['algorithm']][1]:.10g}"
     config = json.loads((tmp_path / "bench" / "smoke.config.json").read_text())
     assert config["errors"] == []
     assert [key for key, _ in config["speedups"]] == [["fixed-n3", 0.9]]
@@ -370,7 +370,8 @@ def test_benchmark_records_cell_failures(tmp_path, capsys):
     assert code == 0
     assert [line.split(",")[:2] for line in lines[1:]] == [
         ["maxent", "macro-n4"], ["ccp", "macro-n4"]]
-    config = json.loads((tmp_path / "bench" / "broken.config.json").read_text())
+    config = json.loads(
+        (tmp_path / "bench" / "broken.config.json").read_text())
     assert [e["env"] for e in config["errors"]] == ["fixed-n3"]
     assert config["errors"][0]["error"].startswith("MaxSweepsExceeded: ")
     assert [key for key, _ in config["speedups"]] == [["macro-n4", 0.9]]

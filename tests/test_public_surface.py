@@ -58,8 +58,8 @@ def _imports(path):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Import) or (
-                    isinstance(child, ast.ImportFrom) and child.module is None):
+            if isinstance(child, ast.Import) or (isinstance(
+                    child, ast.ImportFrom) and child.module is None):
                 # import x, from . import x
                 found.extend((alias.name, function) for alias in child.names)
             elif isinstance(child, ast.ImportFrom):
