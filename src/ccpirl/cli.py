@@ -82,7 +82,8 @@ def _require(args, *names):
 NON_NEGATIVE_INT = ("a non-negative integer",
                     lambda v: type(v) is int and v >= 0)
 POSITIVE_INT = ("a positive integer", lambda v: type(v) is int and v > 0)
-POSITIVE = ("positive", lambda v: type(v) in (int, float) and v > 0)
+POSITIVE = ("positive and finite",
+            lambda v: type(v) in (int, float) and math.isfinite(v) and v > 0)
 PROBABILITY = ("in [0, 1]",
                lambda v: type(v) in (int, float) and 0 <= v <= 1)
 

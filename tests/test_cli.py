@@ -346,17 +346,22 @@ def test_bench_suite_that_cannot_run_runs_no_cell(tmp_path, capsys,
     ("train", ["--lr", "0"]),
     ("train", ["--alpha", "0"]),
     ("train", ["--alpha", "-1"]),
+    ("train", ["--alpha", "inf"]),
+    ("train", ["--lr", "inf"]),
     ("train", ["--reward", "mlp", "--hidden", "0"]),
     ("train", ["--hidden", "-3"]),
     ("gen-experts", ["--traj-length", "0"]),
     ("gen-experts", ["--traj-length", "-1"]),
     ("gen-experts", ["--mode", "hard-eps", "--epsilon", "2"]),
     ("estimate-ccp", ["--alpha", "0"]),
+    ("estimate-ccp", ["--alpha", "inf"]),
 ], ids=["train-negative-iterations", "train-negative-horizon",
         "train-zero-horizon", "train-zero-lr", "train-zero-alpha",
-        "train-negative-alpha", "train-zero-hidden", "train-negative-hidden",
+        "train-negative-alpha", "train-infinite-alpha", "train-infinite-lr",
+        "train-zero-hidden", "train-negative-hidden",
         "gen-experts-zero-length", "gen-experts-negative-length",
-        "gen-experts-epsilon-2", "estimate-ccp-zero-alpha"])
+        "gen-experts-epsilon-2", "estimate-ccp-zero-alpha",
+        "estimate-ccp-infinite-alpha"])
 def test_out_of_range_flags_are_config_errors(tmp_path, capsys, command,
                                               flags):
     env = gen_env(tmp_path)

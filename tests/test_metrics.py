@@ -336,7 +336,8 @@ def test_benchmark_smoke_suite(tmp_path):
     for algorithm, trainer in (("maxent", train_maxent), ("ccp", train_ccp)):
         times, cell_nll, cell_evd = scores[algorithm]
         assert len(times) == 2
-        assert all(0.0 <= setup <= total for setup, total in times)
+        assert all(0.0 <= setup <= total and total > 0.0
+                   for setup, total in times)
         report = trainer(model, demos, LinearReward(np.zeros(2)),
                          GradientAscent(0.1), 2)
         rewards = report.final_rewards
